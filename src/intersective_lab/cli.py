@@ -185,7 +185,16 @@ def _emit(args, subcommand: str, params: dict, report: Report, t0: float) -> Non
         "threads": getattr(args, "threads", 1),
     }
     doc = {"schema": SCHEMA, "manifest": manifest, "result": _jsonable(report.result)}
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    # exact integers such as the sieve period L = prod p^gamma pass the
+    # interpreter's int-to-str digit limit (4300 by default) once Y >~ 1e4
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -206,6 +215,17 @@ def _fmt_cell(v: Any) -> Any:
     if isinstance(v, float):
         return f"{v:.12g}"
     return v
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _threads_default() -> int:
@@ -435,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bound", type=int, default=1000, help="prime bound B")
         p.add_argument("--out", help="write the JSON report here (default stdout)")
         p.add_argument("--csv", help="write the CSV table here")
-        p.add_argument("--threads", type=int, default=_threads_default())
+        p.add_argument("--threads", type=_positive_int, default=_threads_default())
 
     p = sub.add_parser("check-intersective", help="p-adic solvability up to a bound")
     common(p)
@@ -464,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expsum-scan", help="max_a |S(a,q)| cancellation table")
     common(p)
-    p.add_argument("--q-max", type=int, required=True)
+    p.add_argument("--q-max", type=_positive_int, required=True)
     p.add_argument("--Y", default="all", help="sieve cutoff, or 'all' for all p <= q")
     p.add_argument("--squarefree", action="store_true")
     p.set_defaults(handler=_cmd_expsum_scan)

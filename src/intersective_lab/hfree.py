@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import SetOutOfRange, TooLarge
 from .intpoly import IntPoly
 
@@ -92,13 +94,19 @@ def is_h_free(A: Iterable[int], inst: HFreeInstance) -> Optional[Violation]:
 
 
 def greedy_h_free(inst: HFreeInstance) -> list[int]:
-    """Scan 1..N, keeping n when it conflicts with nothing already chosen."""
-    chosen: set[int] = set()
+    """Scan 1..N, keeping n when it conflicts with nothing already chosen.
+
+    Forward blocking: each kept n marks n + f for every forbidden f, so the
+    scan reads one flag per n.
+    """
+    N = inst.N
+    forb = np.array(inst.forbidden, dtype=np.int64)
+    blocked = np.zeros(N + 1 + int(forb.max(initial=0)), dtype=bool)
     out = []
-    for n in range(1, inst.N + 1):
-        if all(n - f not in chosen for f in inst.forbidden):
-            chosen.add(n)
+    for n in range(1, N + 1):
+        if not blocked[n]:
             out.append(n)
+            blocked[n + forb] = True
     return out
 
 

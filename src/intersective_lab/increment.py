@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .arcs_fourier import TorusPoint
-from .errors import InvariantViolation
+from .errors import InvariantViolation, SetOutOfRange
 from .hfree import HFreeInstance, is_h_free
 from .intersective import AuxFamily
 from .numutil import factorize
@@ -143,6 +143,16 @@ def find_increment(
     return IncrementResult(n_star, offset, a_star, Fraction(len(a_star), n_star))
 
 
+def _magnitude_grid(x: np.ndarray) -> np.ndarray:
+    """|FFT(x)| at all len(x) nodes, from the half spectrum of real x.
+
+    For real input F[G - j] is the conjugate of F[j], so the upper half of
+    the grid mirrors the lower one; len(x) must be even.
+    """
+    half = np.abs(np.fft.rfft(x))
+    return np.concatenate([half, half[-2:0:-1]])
+
+
 def select_gamma(
     A: Iterable[int],
     N: int,
@@ -159,29 +169,33 @@ def select_gamma(
     q_cap; sparse sets make the nominal range astronomically large).  Both
     transforms are evaluated on one power-of-two FFT grid with spacing
     <= 1/(oversample N); each arc takes its peak over peak_points grid nodes
-    and its mass by trapezoid over all in-arc nodes.  Arcs below the
-    sigma^(3k+5) N / log N mass threshold are dropped, survivors are
-    bucketed dyadically in sqrt(mass) and q, and the bucket with the largest
-    q^(-1/2) peak sqrt(mass) total wins.
+    and its mass by trapezoid over all in-arc nodes (an arc wider than the
+    circle wraps around it).  Arcs below the sigma^(3k+5) N / log N mass
+    threshold are dropped, survivors are bucketed dyadically in sqrt(mass)
+    and q, and the bucket with the largest q^(-1/2) peak sqrt(mass) total
+    wins; ties go to the smaller sqrt(mass) exponent, then the smaller q.
     """
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     elems = np.array(sorted(set(A)), dtype=np.int64)
     size = int(elems.size)
-    if size == 0:
-        return GammaSelection(0.0, 0.0, (), Fraction(0, 1), 0, N, kappa, 0.0)
+    if size and (elems[0] < 1 or elems[-1] > N):
+        raise SetOutOfRange(f"A must lie in [1, {N}]")
     sigma = Fraction(size, N)
+    if size == 0 or sigma == 1:
+        # g = 1_A - sigma 1_[N] vanishes for A = [1, N] (the only choice at
+        # N = 1, where the log N threshold is undefined): no arc has mass
+        return GammaSelection(0.0, 0.0, (), sigma, size, N, kappa, 0.0)
     sf = float(sigma)
     k = fam.k
     K = kappa / sf
     q_max = min(q_cap, max(1, math.floor(kappa / sf ** (k + 1))))
     G = 1 << max(4, math.ceil(math.log2(oversample * N)))
     x = np.zeros(G, dtype=np.float64)
-    np.add.at(x, elems % G, 1.0)
-    FA = np.conj(np.fft.fft(x))  # FA[j] = 1_A-hat(j / G)
-    xi = np.zeros(G, dtype=np.float64)
-    np.add.at(xi, np.arange(1, N + 1) % G, 1.0)
-    FI = np.conj(np.fft.fft(xi))
-    magA = np.abs(FA)
-    magg2 = np.abs(FA - sf * FI) ** 2
+    x[elems % G] = 1.0  # distinct: A lies in [1, N] and N <= G
+    magA = _magnitude_grid(x)  # |1_A-hat(j / G)|
+    x[np.arange(1, N + 1) % G] -= sf
+    magg2 = _magnitude_grid(x) ** 2  # |g-hat(j / G)|^2
     halfwidth = K / N
     threshold = sf ** (3 * k + 5) * N / math.log(N)
 
@@ -204,14 +218,15 @@ def select_gamma(
     j_lo = np.mod(j_lo, G)
     cmax = int(count.max(initial=2))
 
-    # one shared grid, windows made contiguous by extending past the wrap
-    magg2_ext = np.concatenate([magg2, magg2[: cmax + 1]])
-    csum = np.concatenate([[0.0], np.cumsum(magg2_ext)])
-    win_sum = csum[j_lo + count] - csum[j_lo]
-    ends = magg2_ext[j_lo] + magg2_ext[j_lo + count - 1]
+    # one shared grid; windows wrap around the circle, and a window longer
+    # than the circle counts each full turn once more
+    turns, rem = np.divmod(count, G)
+    csum = np.concatenate([[0.0], np.cumsum(np.pad(magg2, (0, min(cmax, G)), mode="wrap"))])
+    win_sum = turns * csum[G] + (csum[j_lo + rem] - csum[j_lo])
+    wrap = G - 1  # G is a power of two: i & wrap == i mod G
+    ends = magg2[j_lo] + magg2[(j_lo + count - 1) & wrap]
     mass_arr = (win_sum - 0.5 * ends) / G
 
-    magA_ext = np.concatenate([magA, magA[: cmax + 1]])
     frac = np.linspace(0.0, 1.0, peak_points)
     n_arcs = a_arr.size
     peak_arr = np.empty(n_arcs, dtype=np.float64)
@@ -220,42 +235,41 @@ def select_gamma(
     for lo in range(0, n_arcs, chunk):
         sl = slice(lo, min(lo + chunk, n_arcs))
         rel = np.round(frac[None, :] * (count[sl, None] - 1)).astype(np.int64)
-        mat = magA_ext[j_lo[sl, None] + rel]
+        mat = magA[(j_lo[sl, None] + rel) & wrap]
         best = np.argmax(mat, axis=1)
         peak_arr[sl] = mat[np.arange(mat.shape[0]), best]
         arg_rel[sl] = rel[np.arange(mat.shape[0]), best]
 
-    keep = ok & (mass_arr > threshold) & (mass_arr > 0.0)
-    entries_all: list[tuple[int, int, GammaEntry]] = []
-    sqrtN = math.sqrt(N)
-    for i in np.nonzero(keep)[0]:
-        a, q = int(a_arr[i]), int(q_arr[i])
-        mass = float(mass_arr[i])
-        offset = (int(j_lo[i]) + int(arg_rel[i])) / G - a / q
-        gamma = TorusPoint.rational(a, q, offset)
-        bexp = math.ceil(math.log2(sf * sqrtN / math.sqrt(mass)))
-        qexp = math.floor(math.log2(q))
-        entries_all.append((bexp, qexp, GammaEntry(a, q, gamma, float(peak_arr[i]), mass)))
-    if not entries_all:
+    keep = np.flatnonzero(ok & (mass_arr > threshold) & (mass_arr > 0.0))
+    if keep.size == 0:
         return GammaSelection(0.0, 0.0, (), sigma, size, N, kappa, 0.0)
-    buckets: dict[tuple[int, int], list[GammaEntry]] = {}
-    for bexp, qexp, entry in entries_all:
-        buckets.setdefault((bexp, qexp), []).append(entry)
-
-    def score(entries: list[GammaEntry]) -> float:
-        # partial sum of q^(-1/2) * peak * sqrt(mass): each bucket's
-        # contribution to the Cauchy-Schwarz'd arc inequality
-        return sum(e.peak * math.sqrt(e.mass / e.q) for e in entries)
-
-    key = max(buckets, key=lambda kk: (score(buckets[kk]), -kk[0], -kk[1]))
-    chosen = tuple(sorted(buckets[key], key=lambda e: (e.q, e.a)))
-    B, Q = 2.0 ** key[0], 2.0 ** key[1]
-    diag = (
-        B * size * math.sqrt(Q) / ((math.log(N) ** 0.25) * max(math.log(1 / sf), 1e-9) ** 2)
-        if sf < 1
-        else 0.0
+    mass = mass_arr[keep]
+    q_keep = q_arr[keep]
+    bexp = np.ceil(np.log2(sf * math.sqrt(N) / np.sqrt(mass))).astype(np.int64)
+    qexp = np.frexp(q_keep.astype(np.float64))[1] - 1  # floor(log2 q), exact
+    # partial sum of q^(-1/2) * peak * sqrt(mass): each bucket's
+    # contribution to the Cauchy-Schwarz'd arc inequality
+    score = peak_arr[keep] * np.sqrt(mass / q_keep)
+    b_min, n_q = int(bexp.min()), int(qexp.max()) + 1
+    code = (bexp - b_min) * n_q + qexp  # ascending in (bexp, qexp)
+    totals = np.bincount(code, weights=score)
+    totals[np.bincount(code) == 0] = -np.inf
+    win = int(np.argmax(totals))  # first maximum: smallest bexp, then qexp
+    chosen = keep[code == win]  # ascending index = ascending (q, a)
+    entries = tuple(
+        GammaEntry(a, q, TorusPoint.rational(a, q, (j + r) / G - a / q), peak, m)
+        for a, q, j, r, peak, m in zip(
+            a_arr[chosen].tolist(),
+            q_arr[chosen].tolist(),
+            j_lo[chosen].tolist(),
+            arg_rel[chosen].tolist(),
+            peak_arr[chosen].tolist(),
+            mass_arr[chosen].tolist(),
+        )
     )
-    return GammaSelection(B, Q, chosen, sigma, size, N, kappa, diag)
+    B, Q = 2.0 ** (win // n_q + b_min), 2.0 ** (win % n_q)
+    diag = B * size * math.sqrt(Q) / ((math.log(N) ** 0.25) * max(math.log(1 / sf), 1e-9) ** 2)
+    return GammaSelection(B, Q, entries, sigma, size, N, kappa, diag)
 
 
 def cor0_dichotomy(sel: GammaSelection, nu: float) -> Dichotomy:

@@ -48,26 +48,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-def euler_phi(n: int) -> int:
-    phi = n
-    for p, _ in factorize(n):
-        phi -= phi // p
-    return phi
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine congruences x = r_i (mod m_i) with pairwise coprime moduli.
 

@@ -1,11 +1,14 @@
 import json
+import math
 import random
+import sys
 
 import pytest
 
 from intersective_lab.cli import main, parse_poly, render_poly
 from intersective_lab.errors import PolyParseError
 from intersective_lab.intpoly import IntPoly
+from intersective_lab.residue_sieve import SieveProfile
 
 
 def run_cli(tmp_path, *args):
@@ -137,3 +140,55 @@ def test_result_determinism(tmp_path):
         docs.append(json.loads(out.read_text()))
     r1, r2 = (json.dumps(d["result"], sort_keys=True) for d in docs)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("poly", ["x^2", "x^2-1", "x^3", "x^3+x^2-2x"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_increment_tiny_N(tmp_path, poly, N):
+    # N = 1 has log N = 0; N = 2 has arcs wider than the whole circle
+    code, doc = run_cli(tmp_path, "increment", "--poly", poly, "--N", str(N))
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert doc["result"]["trajectory"][0]["N_i"] == N
+
+
+def test_sieve_report_keeps_period_beyond_digit_limit(tmp_path):
+    # at Y = 10500 the period prod p^gamma has more than 4300 decimal digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    out = tmp_path / "r.json"
+    with pytest.warns(UserWarning, match="small for Y"):
+        code = main(
+            ["sieve", "--poly", "x^2+1", "--Y", "10500", "--X", "1000", "--out", str(out)]
+        )
+    assert code == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out.read_text())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    prof = SieveProfile.build(parse_poly("x^2+1"), 10500.0)
+    period = math.prod(pd.modulus for pd in prof.per_prime.values())
+    assert period.bit_length() > 4300 * math.log2(10)
+    assert doc["result"]["period"] == period
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arcs", "--N", "100", "--K", "1", "--Q", "3", "--threads", "0"],
+        ["arcs", "--N", "100", "--K", "1", "--Q", "3", "--threads", "-3"],
+        ["expsum-scan", "--poly", "x^2", "--q-max", "0"],
+        ["expsum-scan", "--poly", "x^2", "--q-max", "-1"],
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--out", str(tmp_path / "r.json")])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be a positive integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()

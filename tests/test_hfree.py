@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.hfree import (
@@ -84,6 +86,27 @@ def test_greedy_examples():
     assert is_h_free(g, inst) is None
     assert greedy_h_free(HFreeInstance.build(IntPoly([100, 0, 1]), 50)) == list(range(1, 51))
     assert greedy_h_free(HFreeInstance.build(X2, 3)) == [1, 3]
+
+
+def greedy_by_probes(inst):
+    """Greedy by definition: keep n when no kept m has n - m forbidden."""
+    chosen: set[int] = set()
+    out = []
+    for n in range(1, inst.N + 1):
+        if all(n - f not in chosen for f in inst.forbidden):
+            chosen.add(n)
+            out.append(n)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(lambda cs: any(cs)),
+    st.integers(0, 400),
+)
+def test_greedy_matches_probe_definition(coeffs, N):
+    inst = HFreeInstance.build(IntPoly(coeffs), N)
+    assert greedy_h_free(inst) == greedy_by_probes(inst)
 
 
 def test_exact_examples():

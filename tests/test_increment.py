@@ -1,12 +1,16 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from intersective_lab.arcs_fourier import TorusPoint
+from intersective_lab.arcs_fourier import TorusPoint, arc_l2_mass
 from intersective_lab.hfree import HFreeInstance, greedy_h_free, is_h_free
+from intersective_lab.errors import SetOutOfRange
 from intersective_lab.increment import (
+    _magnitude_grid,
     GammaEntry,
     GammaSelection,
     Increment,
@@ -147,6 +151,80 @@ def test_select_gamma_bucket_invariants(fam_x2):
         x = math.sqrt(e.mass)
         assert sf * math.sqrt(2000) / sel.B <= x < 2 * sf * math.sqrt(2000) / sel.B + 1e-12
         assert math.gcd(e.a, e.q) == 1
+
+
+def test_magnitude_grid_matches_full_fft():
+    rng = np.random.default_rng(31)
+    for G in (2, 4, 16, 64, 1024):
+        for x in (rng.random(G), rng.integers(0, 2, G).astype(float) - 0.3):
+            assert np.allclose(_magnitude_grid(x), np.abs(np.fft.fft(x)), rtol=1e-12, atol=1e-12)
+
+
+# (h, N, kappa) -> (B, Q, entries) on the greedy h-free set of [1, N].  The
+# winning buckets were recorded before select_gamma became array-native
+# (two complex FFTs and one Python object per surviving arc); long entry
+# lists are pinned by their count and the sha256 of repr([(a, q), ...]).
+SELECT_PINS = [
+    (X2, 300, 0.05, 4.0, 4.0, [(2, 5), (3, 5)]),
+    (X2, 2500, 0.002, 1024.0, 1.0, [(1, 1)]),
+    (X2M1, 2500, 0.01, 8.0, 8.0, [(2, 11), (9, 11)]),
+    (X2M1, 1000, 0.002, 0.0, 0.0, []),
+    (X3, 300, 0.2, 2.0, 4.0, [(3, 7), (4, 7)]),
+    (IntPoly([0, -2, 1, 1]), 300, 0.2, 8.0, 16.0,
+     [(1, 16), (3, 16), (5, 16), (11, 16), (13, 16), (15, 16),
+      (1, 17), (16, 17), (1, 18), (17, 18), (2, 19), (17, 19)]),
+    (IntPoly([0, -2, 1, 1]), 1000, 0.2, 4.0, 32.0,
+     [(7, 37), (30, 37), (2, 39), (37, 39), (2, 41), (39, 41),
+      (3, 50), (47, 50), (4, 53), (10, 53), (43, 53), (49, 53)]),
+    (X2, 300, 0.2, 4.0, 16.0, (34, "0936dcfa86e8c2aa")),
+    (X2, 2500, 0.05, 16.0, 32.0, (270, "52bd0dafe1005369")),
+    (X2M1, 1000, 0.2, 8.0, 64.0, (1642, "eabb74e20069c4e4")),
+    (IntPoly([0, -2, 1, 1]), 2500, 0.2, 8.0, 64.0, (66, "291553d57ac48110")),
+]
+
+
+@pytest.mark.parametrize("h, N, kappa, B, Q, expected", SELECT_PINS)
+def test_select_gamma_pinned(h, N, kappa, B, Q, expected):
+    A = greedy_h_free(HFreeInstance.build(h, N))
+    sel = select_gamma(A, N, AuxFamily(h, bound=100), 1, kappa=kappa)
+    got = [(e.a, e.q) for e in sel.entries]
+    assert (sel.B, sel.Q) == (B, Q)
+    if isinstance(expected, tuple):
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()[:16]
+        assert (len(got), digest) == expected
+    else:
+        assert got == expected
+
+
+def test_select_gamma_tiny_N(fam_x2):
+    # N = 1: A = [1, 1] and g = 0.  N = 2, A = {1}: K/N = 1, so each arc
+    # wraps the circle twice, and the quadrature oracle agrees on its mass
+    assert select_gamma([1], 1, fam_x2, 1).entries == ()
+    sel = select_gamma([1], 2, fam_x2, 1, kappa=1.0)
+    assert sel.entries
+    for e in sel.entries:
+        assert e.mass == pytest.approx(arc_l2_mass([1], 2, e.a, e.q, 2.0), rel=0.02)
+
+
+def test_select_gamma_rejects_bad_input(fam_x2):
+    with pytest.raises(SetOutOfRange):
+        select_gamma([0, 3], 10, fam_x2, 1)
+    for kappa in (0.0, -1000.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            select_gamma([1, 3], 10, fam_x2, 1, kappa=kappa)
+
+
+def test_select_gamma_arcs_wider_than_circle(fam_x2):
+    # K/N ~ 5e3: each arc wraps the circle ~1e4 times, so its mass is the
+    # number of whole turns times Parseval's |A|(1 - sigma), plus less than
+    # one more turn; no grid that long is built
+    A = greedy_h_free(HFreeInstance.build(X2, 100))
+    sel = select_gamma(A, 100, fam_x2, 1, kappa=1e5, q_cap=16)
+    assert sel.entries
+    turns = 2 * 1e5 / (len(A) / 100) / 100
+    total = len(A) * (1 - len(A) / 100)
+    for e in sel.entries:
+        assert abs(e.mass - turns * total) <= total
 
 
 def test_measured_nu_in_unit_range(fam_x2):
