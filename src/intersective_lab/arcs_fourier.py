@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import SetOutOfRange
 
+_INT64_SAFE_Q = 3_037_000_500  # largest q with (q - 1)^2 < 2^63
+
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -106,27 +108,28 @@ def arc_list(spec: ArcSpec) -> list[tuple[int, int]]:
     return out
 
 
-def _csum(reals: Iterable[float], imags: Iterable[float]) -> complex:
-    return complex(math.fsum(reals), math.fsum(imags))
-
-
 def fourier_set(A: Iterable[int], gamma: TorusPoint) -> complex:
     """1_A-hat(gamma) = sum_{n in A} e(n gamma), compensated summation.
 
-    Phases for the rational part come from exact residues n*a mod q.
+    Phases for the rational part a/q come from exact residues
+    (n mod q) a mod q, in int64 while (q - 1)^2 fits and in Python
+    integers beyond.  A is an iterable or array of int64-sized integers.
     """
-    elems = list(A)
-    if gamma.frac is not None:
-        a, q = gamma.frac.numerator, gamma.frac.denominator
-        off = gamma.offset
-        phases = [((n * a) % q) / q + n * off for n in elems]
+    if isinstance(A, np.ndarray):
+        n = A.astype(np.int64, copy=False)
     else:
-        phases = [n * gamma.offset for n in elems]
-    two_pi = 2.0 * math.pi
-    return _csum(
-        (math.cos(two_pi * ph) for ph in phases),
-        (math.sin(two_pi * ph) for ph in phases),
-    )
+        n = np.fromiter(A, dtype=np.int64)
+    if gamma.frac is None:
+        phases = n * gamma.offset
+    else:
+        a, q = gamma.frac.numerator, gamma.frac.denominator
+        if q <= _INT64_SAFE_Q:
+            res = (n % q) * a % q / q
+        else:
+            res = np.array([(x * a) % q / q for x in n.tolist()], dtype=np.float64)
+        phases = res + n * gamma.offset
+    turns = 2.0 * math.pi * phases
+    return complex(math.fsum(np.cos(turns).tolist()), math.fsum(np.sin(turns).tolist()))
 
 
 def interval_transform(N: int, gamma: TorusPoint) -> complex:
@@ -187,23 +190,38 @@ def arc_l2_mass(
     return float((vals.sum() - 0.5 * (vals[0] + vals[-1])) * step)
 
 
-def circle_l2_mass(A: Iterable[int], N: int, oversample: int = 32) -> float:
-    """Whole-circle quadrature of |g-hat|^2 on a uniform oversample*N grid.
+def fft_grid_size(N: int, oversample: float) -> int:
+    """The circle grid: the power of two >= oversample * N, at least 16.
 
-    The periodic rectangle rule on G = oversample*N >= N+1 nodes integrates
-    the degree-<=N trigonometric polynomial |g-hat|^2 exactly, recovering
-    Parseval's |A|(1 - sigma) up to roundoff; evaluated with one FFT.
+    A power of two keeps the FFT on its fast radix path; a grid of G >= N
+    points already samples a degree-< N trigonometric polynomial without
+    aliasing, so rounding oversample * N up only refines the spacing.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not 1 <= oversample < math.inf:
+        raise ValueError(f"oversample must be >= 1 and finite, got {oversample}")
+    return max(16, 1 << (math.ceil(oversample * N) - 1).bit_length())
+
+
+def circle_l2_mass(A: Iterable[int], N: int, oversample: int = 32) -> float:
+    """Whole-circle quadrature of |g-hat|^2 on the fft_grid_size grid.
+
+    The periodic rectangle rule on G >= N nodes integrates |g-hat|^2, a
+    trigonometric polynomial of degree < N, exactly, recovering
+    Parseval's |A|(1 - sigma) up to roundoff; evaluated with one real FFT.
+    """
+    G = fft_grid_size(N, oversample)
     elems = np.array(sorted(set(A)), dtype=np.int64)
     if elems.size and (elems[0] < 1 or elems[-1] > N):
         raise SetOutOfRange(f"A must lie in [1, {N}]")
-    G = oversample * N
+    # g shifted down by one (n -> n - 1), which leaves |g-hat| unchanged
     x = np.zeros(G, dtype=np.float64)
-    np.add.at(x, elems % G, 1.0)
-    sigma = elems.size / N
-    np.add.at(x, np.arange(1, N + 1) % G, -sigma)
-    F = np.fft.fft(x)
-    return float(np.mean(np.abs(F) ** 2))
+    x[:N] = -elems.size / N
+    x[elems - 1] += 1.0  # distinct indices
+    p = np.abs(np.fft.rfft(x)) ** 2
+    # one-sided Parseval: every bin but 0 and G/2 stands for itself and its mirror
+    return float((2.0 * p.sum() - p[0] - p[-1]) / G)
 
 
 def parseval_total(A: Iterable[int], N: int) -> float:

@@ -228,6 +228,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for an exact rational such as 3/7, 0.25 or 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational: {text!r}") from None
+
+
+def _rational_list(text: str) -> list[Fraction]:
+    """argparse type for comma-separated rationals; empty items are skipped."""
+    return [_rational(tok) for tok in text.split(",") if tok.strip()]
+
+
 def _threads_default() -> int:
     env = os.environ.get("INTERSECTIVE_LAB_THREADS")
     try:
@@ -425,10 +438,9 @@ def _cmd_increment(args) -> Report:
 
 
 def _cmd_energy(args) -> Report:
-    elems = [Fraction(tok) for tok in args.elems.split(",") if tok.strip()]
-    fs = FreqSet.build(elems, args.m, Fraction(args.delta))
+    fs = FreqSet.build(args.elems, args.m, args.delta)
     E = additive_energy(fs)
-    result: dict[str, Any] = {"E": E, "m": args.m, "size": len(elems)}
+    result: dict[str, Any] = {"E": E, "m": args.m, "size": len(args.elems)}
     if args.newbm_Q is not None and args.newbm_n is not None:
         lhs, rhs_shape = newbm_check(fs, args.newbm_Q, args.newbm_n, args.m)
         result["newbm"] = {"lhs": lhs, "rhs_shape": rhs_shape, "ratio": lhs / rhs_shape}
@@ -524,9 +536,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="additive energy of rational frequencies")
     common(p, poly=False)
-    p.add_argument("--elems", required=True, help="comma-separated rationals, e.g. 1/5,2/5")
+    p.add_argument(
+        "--elems", type=_rational_list, required=True,
+        help="comma-separated rationals, e.g. 1/5,2/5",
+    )
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta", default="0", help="tolerance, rational")
+    p.add_argument("--delta", type=_rational, default="0", help="tolerance, rational")
     p.add_argument("--newbm-Q", type=float, default=None)
     p.add_argument("--newbm-n", type=int, default=None)
     p.set_defaults(handler=_cmd_energy)

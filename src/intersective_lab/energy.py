@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .arcs_fourier import TorusPoint, fourier_set
 from .errors import PreconditionViolated, TooLarge
 
-WORK_GUARD = 10**9
+WORK_GUARD = 10**9  # |S|^(2m): the ordered 2m-tuples E counts
+FOLD_GUARD = 10**6  # m * |S|: the m passes over S that build the histogram
 
 Freq = Union[TorusPoint, Fraction, int, float]
 
@@ -48,7 +51,7 @@ class FreqSet:
             raise ValueError("frequencies must be distinct as torus points")
         if m < 1:
             raise ValueError("m must be >= 1")
-        if delta < 0:
+        if not delta >= 0:
             raise ValueError("delta must be >= 0")
         return cls(pts, m, delta)
 
@@ -58,21 +61,23 @@ class FreqSet:
         return None
 
 
-def _fold_sums(values: Sequence, m: int) -> dict:
-    """Histogram of m-fold sums mod 1 over ordered tuples."""
-    hist = {values[0] * 0: 1}
+def _fold_sums(values: Sequence, m: int, period) -> dict:
+    """Histogram of m-fold sums mod period over ordered tuples."""
+    hist = {0: 1}
     for _ in range(m):
         new: dict = {}
         for v, c in hist.items():
             for x in values:
-                key = (v + x) % 1
+                key = (v + x) % period
                 new[key] = new.get(key, 0) + c
         hist = new
     return hist
 
 
-def _window_pair_count(hist: dict, delta) -> int:
-    """sum over (u, v) pairs with ||u - v|| <= delta of hist[u] * hist[v]."""
+def _window_pair_count(hist: dict, w, period) -> int:
+    """sum over (u, v) pairs within w of each other mod period of hist[u] * hist[v]."""
+    if not w:
+        return sum(c * c for c in hist.values())
     keys = sorted(hist)
     counts = [hist[k] for k in keys]
     prefix = [0]
@@ -83,19 +88,35 @@ def _window_pair_count(hist: dict, delta) -> int:
     def count_in(lo, hi) -> int:  # closed [lo, hi] within one period
         return prefix[bisect_right(keys, hi)] - prefix[bisect_left(keys, lo)]
 
-    if delta * 2 >= 1:
+    if w * 2 >= period:
         return total * total
     out = 0
     for u, cu in zip(keys, counts):
-        lo, hi = u - delta, u + delta
+        lo, hi = u - w, u + w
         if lo < 0:
-            inside = count_in(0, hi) + count_in(lo + 1, keys[-1] if keys else 0)
-        elif hi >= 1:
-            inside = count_in(lo, keys[-1]) + count_in(0, hi - 1)
+            inside = count_in(0, hi) + count_in(lo + period, keys[-1])
+        elif hi >= period:
+            inside = count_in(lo, keys[-1]) + count_in(0, hi - period)
         else:
             inside = count_in(lo, hi)
         out += cu * inside
     return out
+
+
+def _check_work(n: int, m: int) -> None:
+    """TooLarge unless |S|^(2m) <= WORK_GUARD and m |S| <= FOLD_GUARD.
+
+    The power is compared through its exponent first, so it is never built
+    for a large m.
+    """
+    if m * n > FOLD_GUARD:
+        raise TooLarge(
+            f"m*|S| = {m}*{n} fold steps exceed the FOLD_GUARD of {FOLD_GUARD}"
+        )
+    if n > 1 and (2 * m >= WORK_GUARD.bit_length() or n ** (2 * m) > WORK_GUARD):
+        raise TooLarge(
+            f"|S|^(2m) = {n}^{2 * m} tuples exceed the WORK_GUARD of {WORK_GUARD}"
+        )
 
 
 def additive_energy(fs: FreqSet) -> int:
@@ -103,22 +124,22 @@ def additive_energy(fs: FreqSet) -> int:
 
     Meet in the middle: histogram the m-fold sums once, then pair the two
     halves; the condition b_1+..+b_m - b_{m+1}-..-b_{2m} = 0 (mod 1, up to
-    delta) becomes a window count between equal histograms.
+    delta) becomes a window count between equal histograms.  Rational S is
+    put on its common denominator D and folded as integer numerators mod D;
+    ||t/D|| <= delta holds exactly when min(t, D - t) <= floor(delta D).
     """
     n = len(fs.elems)
     if n == 0:
         return 0
-    if n ** (2 * fs.m) > WORK_GUARD:
-        raise TooLarge(f"|S|^(2m) = {n ** (2 * fs.m)} exceeds the {WORK_GUARD} guard")
+    _check_work(n, fs.m)
     vals = fs.rational_values()
     if vals is None:
-        vals = [p.value() for p in fs.elems]
-        hist = _fold_sums(vals, fs.m)
-        return _window_pair_count(hist, float(fs.delta))
-    hist = _fold_sums(vals, fs.m)
-    if fs.delta == 0:
-        return sum(c * c for c in hist.values())
-    return _window_pair_count(hist, fs.delta)
+        hist = _fold_sums([p.value() for p in fs.elems], fs.m, 1.0)
+        return _window_pair_count(hist, float(fs.delta), 1.0)
+    D = math.lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (D // v.denominator) for v in vals]
+    w = math.floor(Fraction(min(fs.delta, 1)) * D)
+    return _window_pair_count(_fold_sums(nums, fs.m, D), w, D)
 
 
 def _arc_cover_length(vals: list[Fraction]) -> Fraction:
@@ -173,12 +194,12 @@ def ch_check(A: Iterable[int], N: int, S: FreqSet) -> ChCheck:
     lhs = sum_{gamma in S} |1_A-hat(gamma)|,
     rhs = |A| sigma^(-1/2m) E_{2m}(S; 1/2N)^(1/2m).
     """
-    elems = sorted(set(A))
-    if not elems:
+    elems = np.unique(np.fromiter(A, dtype=np.int64))
+    if not elems.size:
         raise ValueError("A must be nonempty")
-    sigma = len(elems) / N
+    sigma = elems.size / N
     lhs = math.fsum(abs(fourier_set(elems, g)) for g in S.elems)
     E = additive_energy(FreqSet.build(S.elems, S.m, Fraction(1, 2 * N)))
-    rhs = len(elems) * sigma ** (-1.0 / (2 * S.m)) * E ** (1.0 / (2 * S.m))
+    rhs = elems.size * sigma ** (-1.0 / (2 * S.m)) * E ** (1.0 / (2 * S.m))
     ratio = lhs / rhs
     return ChCheck(lhs, rhs, ratio)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .arcs_fourier import TorusPoint
+from .arcs_fourier import TorusPoint, fft_grid_size
 from .errors import InvariantViolation, SetOutOfRange
 from .hfree import HFreeInstance, is_h_free
 from .intersective import AuxFamily
@@ -190,7 +190,7 @@ def select_gamma(
     k = fam.k
     K = kappa / sf
     q_max = min(q_cap, max(1, math.floor(kappa / sf ** (k + 1))))
-    G = 1 << max(4, math.ceil(math.log2(oversample * N)))
+    G = fft_grid_size(N, oversample)
     x = np.zeros(G, dtype=np.float64)
     x[elems % G] = 1.0  # distinct: A lies in [1, N] and N <= G
     magA = _magnitude_grid(x)  # |1_A-hat(j / G)|

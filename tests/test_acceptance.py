@@ -274,10 +274,14 @@ def test_criterion_11_increment_soundness():
 
 
 def _naive_energy(values, m, delta):
+    """The literal 2m-fold loop on integer numerators t over the common
+    denominator D: ||t / D|| <= delta reads min(t, D - t) <= delta D."""
+    D = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (D // v.denominator) for v in values]
     count = 0
-    for tup in itertools.product(values, repeat=2 * m):
-        s = (sum(tup[:m]) - sum(tup[m:])) % 1
-        if min(s, 1 - s) <= delta:
+    for tup in itertools.product(nums, repeat=2 * m):
+        t = (sum(tup[:m]) - sum(tup[m:])) % D
+        if min(t, D - t) * delta.denominator <= delta.numerator * D:
             count += 1
     return count
 

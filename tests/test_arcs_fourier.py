@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intersective_lab.arcs_fourier import (
     ArcSpec,
@@ -13,6 +15,7 @@ from intersective_lab.arcs_fourier import (
     arc_list,
     circle_l2_mass,
     classify,
+    fft_grid_size,
     fourier_set,
     g_hat,
     interval_transform,
@@ -95,6 +98,52 @@ def test_fourier_magnitude_bound():
     assert abs(fourier_set(A, TorusPoint.rational(0, 1))) == len(A)
 
 
+def literal_fourier_set(A, gamma):
+    """The per-element loop: exact residue n a mod q, math.cos and math.sin."""
+    re, im = [], []
+    for n in A:
+        if gamma.frac is None:
+            ph = n * gamma.offset
+        else:
+            a, q = gamma.frac.numerator, gamma.frac.denominator
+            ph = ((n * a) % q) / q + n * gamma.offset
+        re.append(math.cos(2.0 * math.pi * ph))
+        im.append(math.sin(2.0 * math.pi * ph))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+torus_points = st.one_of(
+    st.builds(
+        TorusPoint.rational,
+        st.integers(-10**6, 10**6),
+        st.one_of(st.integers(1, 10**4), st.integers(3 * 10**9, 10**13)),  # past int64 products
+        st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+    ),
+    st.floats(-10.0, 10.0).map(TorusPoint.from_float),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=60), torus_points)
+@example([], TorusPoint.rational(1, 3))
+@example([5, 7], TorusPoint.rational(2, 9, 1e-4))
+def test_fourier_set_matches_literal_loop(A, gamma):
+    # numpy's cos/sin may differ from libm's in the last bit on some machines
+    tol = 1e-13 * max(1, len(A))
+    want = literal_fourier_set(A, gamma)
+    assert abs(fourier_set(A, gamma) - want) <= tol
+    assert abs(fourier_set(np.array(A, dtype=np.int64), gamma) - want) <= tol
+
+
+def test_fourier_set_inputs():
+    gamma = TorusPoint.rational(3, 11, 2e-5)
+    want = literal_fourier_set(range(1, 5001), gamma)
+    assert abs(fourier_set(range(1, 5001), gamma) - want) <= 1e-9
+    assert abs(fourier_set((n for n in range(1, 5001)), gamma) - want) <= 1e-9
+    assert fourier_set([], TorusPoint(None, 0.3)) == 0
+    assert fourier_set(range(0), TorusPoint.rational(1, 2)) == 0
+
+
 def test_interval_transform_matches_direct():
     rng = random.Random(11)
     for _ in range(60):
@@ -123,6 +172,52 @@ def test_parseval_whole_circle():
         total = circle_l2_mass(A, N, oversample=32)
         exact = parseval_total(A, N)
         assert abs(total - exact) <= 0.01 * max(exact, 1e-12)
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@st.composite
+def sets_in_interval(draw):
+    N = draw(st.one_of(st.sampled_from(_primes(2, 400) + [16, 64, 1024]), st.integers(1, 3000)))
+    return N, sorted(draw(st.sets(st.integers(1, N), max_size=N)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sets_in_interval(), st.sampled_from([1, 2, 3, 32]))
+@example((1, []), 1)
+@example((1, [1]), 1)
+@example((1024, [1, 1024]), 1)  # the grid is exactly N points long
+def test_circle_l2_mass_is_parseval(NA, oversample):
+    N, A = NA
+    exact = parseval_total(A, N)
+    assert abs(circle_l2_mass(A, N, oversample) - exact) <= 1e-12 * max(exact, 1)
+
+
+def test_circle_l2_mass_prime_N():
+    rng = random.Random(15)
+    for N in (9973, 49999):
+        A = rng.sample(range(1, N + 1), N // 7)
+        exact = parseval_total(A, N)
+        assert abs(circle_l2_mass(A, N) - exact) <= 1e-12 * exact
+
+
+def test_fft_grid_size():
+    # the formula select_gamma used before the helper, for every N it can see
+    for oversample in (1, 2, 3, 32):
+        for N in range(1, 3000):
+            old = 1 << max(4, math.ceil(math.log2(oversample * N)))
+            assert fft_grid_size(N, oversample) == old
+    assert fft_grid_size(50_000, 32) == 1 << 21
+    with pytest.raises(ValueError, match="N must be"):
+        circle_l2_mass([], 0)
+
+
+@pytest.mark.parametrize("oversample", [0.5, 0, -3, math.nan, math.inf])
+def test_oversample_below_one_rejected(oversample):
+    with pytest.raises(ValueError, match="oversample"):
+        circle_l2_mass([1, 2], 10, oversample)
 
 
 def test_arc_l2_mass_zero_for_full_interval():

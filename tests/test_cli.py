@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -192,3 +193,55 @@ def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
     assert "must be a positive integer" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--elems", "1/0", "--m", "2"],
+        ["--elems", "1/3,2/0", "--m", "2"],
+        ["--elems", "1/3,x", "--m", "2"],
+        ["--elems", "1/3", "--m", "2", "--delta=1/0"],
+        ["--elems", "1/3", "--m", "2", "--delta", "half"],
+    ],
+)
+def test_bad_rationals_are_usage_errors(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as ei:
+        main(["energy", *flags, "--out", str(tmp_path / "r.json")])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid rational" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_energy_cli_rational_delta(tmp_path):
+    # pair sums of {1, 2, 3, 4} mod 5 hit 0 four times and each other residue
+    # three times, so the difference of two pair sums is 0 in 52 quadruples
+    # and each t != 0 in 51; delta = 1/4 admits t = 0, +-1, delta = 1/6 only 0
+    elems = "1/5,2/5,3/5,4/5"
+    code, doc = run_cli(tmp_path, "energy", "--elems", elems, "--m", "2", "--delta", "0.25")
+    assert code == 0
+    assert doc["result"]["E"] == 52 + 2 * 51
+    code, doc = run_cli(tmp_path, "energy", "--elems", elems, "--m", "2", "--delta", "1/6")
+    assert code == 0
+    assert doc["result"]["E"] == 52
+
+
+@pytest.mark.parametrize(
+    "flags, bound",
+    [
+        (["--elems", "0", "--m", "30000000"], "FOLD_GUARD"),
+        (["--elems", "1/3,2/3", "--m", "100000000"], "FOLD_GUARD"),
+        (["--elems", "1/3,2/3", "--m", "400000"], "WORK_GUARD"),
+        (["--elems", ",".join(f"{a}/97" for a in range(1, 9)), "--m", "6"], "WORK_GUARD"),
+    ],
+)
+def test_energy_work_guard_is_quick(tmp_path, capsys, flags, bound):
+    t0 = time.perf_counter()
+    code, doc = run_cli(tmp_path, "energy", *flags)
+    assert time.perf_counter() - t0 < 5
+    assert code == 1 and doc is None
+    err = capsys.readouterr().err
+    assert bound in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -4,17 +4,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intersective_lab.energy import FreqSet, additive_energy, ch_check, newbm_check
 from intersective_lab.errors import PreconditionViolated, TooLarge
 
 
 def naive_energy(values, m, delta):
-    """Full 2m-fold loop oracle with exact torus-norm test."""
+    """Full 2m-fold loop oracle with exact torus-norm test.
+
+    Rational values are taken as integer numerators t over their common
+    denominator D, where ||t / D|| <= delta reads min(t, D - t) <= delta D.
+    """
     count = 0
+    if all(isinstance(v, Fraction) for v in values):
+        D = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (D // v.denominator) for v in values]
+        delta = Fraction(delta)
+        lhs_scale, rhs = delta.denominator, delta.numerator * D
+        for tup in itertools.product(nums, repeat=2 * m):
+            t = (sum(tup[:m]) - sum(tup[m:])) % D
+            if min(t, D - t) * lhs_scale <= rhs:
+                count += 1
+        return count
     for tup in itertools.product(values, repeat=2 * m):
         s = sum(tup[:m]) - sum(tup[m:])
-        d = s - math.floor(s) if not isinstance(s, Fraction) else s % 1
+        d = s - math.floor(s)
         if min(d, 1 - d) <= delta:
             count += 1
     return count
@@ -73,6 +89,52 @@ def test_work_guard():
     vals = [F(i, 97) for i in range(1, 9)]
     with pytest.raises(TooLarge):
         additive_energy(FreqSet.build(vals, 6, 0))  # 8^12 > 1e9
+
+
+def test_work_guard_never_builds_the_power():
+    # 2^(2*4e5) would have 240k digits; the exponent test refuses it at once
+    with pytest.raises(TooLarge, match="WORK_GUARD"):
+        additive_energy(FreqSet.build([F(1, 3), F(2, 3)], 400_000, 0))
+    # |S| = 1 passes the |S|^(2m) guard for any m; the m passes do not
+    with pytest.raises(TooLarge, match="FOLD_GUARD"):
+        additive_energy(FreqSet.build([F(0, 1)], 30_000_000, 0))
+    assert additive_energy(FreqSet.build([F(1, 2)], 100_000, F(1, 3))) == 1
+
+
+def test_delta_must_be_a_number():
+    with pytest.raises(ValueError, match="delta"):
+        FreqSet.build([F(1, 3)], 1, math.nan)
+
+
+@st.composite
+def mixed_denominators(draw):
+    """Distinct rationals with reduced denominators d1, d2 and their divisors,
+    where neither of d1, d2 divides the other: the lcm is none of them."""
+    d1, d2 = draw(
+        st.tuples(st.integers(2, 24), st.integers(2, 24)).filter(
+            lambda ds: ds[0] % ds[1] and ds[1] % ds[0]
+        )
+    )
+    more = draw(st.lists(st.tuples(st.integers(0, 23), st.sampled_from([d1, d2])), max_size=3))
+    return sorted({Fraction(1, d1), Fraction(1, d2)} | {Fraction(a % d, d) for a, d in more})
+
+
+deltas = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([F(1, 2), F(2, 3), F(1, 1), F(5, 2), 0.5, 7.0]),  # every pair
+    st.integers(3, 80).map(lambda k: F(1, k)),  # windows that wrap past 0
+    st.sampled_from([0.1, 0.25, 1e-3]),  # float tolerance on rational points
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_denominators(), st.integers(1, 2), deltas)
+@example([F(1, 4), F(1, 6), F(5, 6)], 2, F(1, 12))  # D = 12 = lcm(4, 6)
+@example([F(0, 1), F(1, 10), F(14, 15)], 1, F(1, 15))
+def test_integer_numerator_energy_matches_naive(vals, m, delta):
+    D = math.lcm(*(v.denominator for v in vals))
+    assert all(v.denominator < D for v in vals)
+    assert additive_energy(FreqSet.build(vals, m, delta)) == naive_energy(vals, m, delta)
 
 
 def test_distinctness_required():

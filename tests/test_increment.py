@@ -212,6 +212,9 @@ def test_select_gamma_rejects_bad_input(fam_x2):
     for kappa in (0.0, -1000.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="kappa"):
             select_gamma([1, 3], 10, fam_x2, 1, kappa=kappa)
+    for oversample in (0.5, 0):
+        with pytest.raises(ValueError, match="oversample"):
+            select_gamma([1, 3], 10, fam_x2, 1, oversample=oversample)
 
 
 def test_select_gamma_arcs_wider_than_circle(fam_x2):
