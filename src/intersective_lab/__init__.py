@@ -51,8 +51,6 @@ from .residue_sieve import (
     SieveProfile,
     expected_density,
     gamma_exponent,
-    in_W,
-    in_Wq,
     root_count,
     sieve_count,
 )

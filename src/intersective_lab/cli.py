@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -44,9 +44,6 @@ whitespace is ignored; examples: "x^2", "x^2 - 1", "3x^3+x", "-2*x^4+x^2-7"
 # ----------------------------------------------------------------------
 # Polynomial expression parsing / rendering
 # ----------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x)|(\^)|(\*)|(\+)|(-))")
-
 
 def parse_poly(s: str) -> IntPoly:
     """Parse the expression grammar above into a canonical IntPoly."""
@@ -326,20 +323,8 @@ def _cmd_sieve(args) -> Report:
 def _cmd_expsum_scan(args) -> Report:
     g = parse_poly(args.poly)
     Y = None if args.Y == "all" else float(args.Y)
-    rows = cancellation_scan(
-        g, args.q_max, Y, squarefree_only=args.squarefree, threads=args.threads
-    )
-    table = [
-        {
-            "q": r.q,
-            "omega": r.omega,
-            "max_abs": r.max_abs,
-            "ratio_sqrt": r.ratio_sqrt,
-            "ratio_weyl": r.ratio_weyl,
-            "admissible": r.admissible,
-        }
-        for r in rows
-    ]
+    rows = cancellation_scan(g, args.q_max, Y, squarefree_only=args.squarefree)
+    table = [asdict(r) for r in rows]  # q, omega, max_abs, ratio_sqrt, ratio_weyl, admissible
     return Report(
         {"rows": table, "fitted_C": fitted_C(rows), "q_max": args.q_max},
         csv_rows=table,
@@ -407,34 +392,19 @@ def _cmd_increment(args) -> Report:
         fam, A0, args.N, max_steps=args.max_steps, kappa=args.kappa,
         nu_formula=args.nu_formula,
     )
-    rows = [
+    trajectory = [
         {
             "i": st.step,
             "N_i": st.N,
             "d_i": st.d,
             "size_A": len(st.A),
             "sigma_i": float(st.sigma),
-            "q_used": st.q_used if st.q_used is not None else "",
+            "q_used": st.q_used,
         }
         for st in states
     ]
-    return Report(
-        {
-            "steps": len(states) - 1,
-            "trajectory": [
-                {
-                    "i": st.step,
-                    "N_i": st.N,
-                    "d_i": st.d,
-                    "size_A": len(st.A),
-                    "sigma_i": float(st.sigma),
-                    "q_used": st.q_used,
-                }
-                for st in states
-            ],
-        },
-        csv_rows=rows,
-    )
+    # the csv module writes None (no q_used) as an empty cell
+    return Report({"steps": len(states) - 1, "trajectory": trajectory}, csv_rows=trajectory)
 
 
 def _cmd_energy(args) -> Report:
@@ -467,7 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bound", type=int, default=1000, help="prime bound B")
         p.add_argument("--out", help="write the JSON report here (default stdout)")
         p.add_argument("--csv", help="write the CSV table here")
-        p.add_argument("--threads", type=_positive_int, default=_threads_default())
+        p.add_argument(
+            "--threads", type=_positive_int, default=_threads_default(),
+            help="recorded in the manifest; changes neither the work nor the result",
+        )
 
     p = sub.add_parser("check-intersective", help="p-adic solvability up to a bound")
     common(p)
@@ -490,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, bound=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--Y", type=float, required=True)
-    p.add_argument("--X", type=int, required=True)
+    p.add_argument("--X", type=_positive_int, required=True)
     p.add_argument("--method", choices=["auto", "wheel", "mark", "loop"], default="auto")
     p.set_defaults(handler=_cmd_sieve)
 
@@ -507,12 +480,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--Y", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_main_term)
 
     p = sub.add_parser("arcs", help="arc listing / torus point classification")
     common(p, poly=False)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--Q", type=float, required=True)
     p.add_argument("--gamma", help="torus point 'a/q' or float")
@@ -520,14 +493,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxset", help="maximum (or greedy) h-free subset of [1,N]")
     common(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--limit", type=int, default=60)
     p.set_defaults(handler=_cmd_maxset)
 
     p = sub.add_parser("increment", help="run the density-increment iteration")
     common(p, bound=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--set", default="greedy", help="'greedy' or 'mod:M:R'")
     p.add_argument("--max-steps", type=int, default=8)
     p.add_argument("--kappa", type=float, default=1.0)

@@ -14,19 +14,23 @@ only in the final unit-circle evaluation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .arcs_fourier import TorusPoint
-from .errors import NotCoprime
+from .errors import NotCoprime, TooLarge
 from .intersective import AuxFamily
 from .intpoly import IntPoly
-from .numutil import int_nth_root, is_squarefree, omega
+from .numutil import int_nth_root, is_squarefree, omega, residue_guard, values_mod
 from .residue_sieve import SieveProfile, expected_density
+
+PHASE_GUARD = 10**7  # M: the terms m <= M of one phase sum
+SCAN_GUARD = 2 * 10**8  # q_max (q_max + 1) / 2: the residues one scan visits
+_CHUNK = 1 << 16  # m values per phase_sum block
 
 
 @lru_cache(maxsize=128)
@@ -52,24 +56,21 @@ class ExpSumResult:
     admissible: int
 
 
+def _admissible_values(g: IntPoly, prof: SieveProfile, q: int) -> np.ndarray:
+    """g(s) mod q for s in [0, q) cap W^q(g; Y), in ascending s."""
+    residue_guard(q)
+    return values_mod(g.coeffs, np.flatnonzero(prof.mask_mod(q)), q)
+
+
 def complete_sum(g: IntPoly, a: int, q: int, Y: Optional[float]) -> ExpSumResult:
     """Exact-phase sum of e(a g(s)/q) over s in [0, q) cap W^q(g; Y)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) != 1")
-    prof = profile_for(g, Y, q)
-    relevant = [pd for pd in prof.per_prime.values() if q % pd.modulus == 0]
-    residues = []
-    for s in range(q):
-        if any(s % pd.modulus in pd.bad for pd in relevant):
-            continue
-        residues.append((a * g.evaluate_mod(s, q)) % q)
-    two_pi = 2.0 * math.pi
-    value = complex(
-        math.fsum(math.cos(two_pi * r / q) for r in residues),
-        math.fsum(math.sin(two_pi * r / q) for r in residues),
-    )
+    residues = (_admissible_values(g, profile_for(g, Y, q), q) * (a % q)) % q
+    ang = 2.0 * math.pi * residues / q
+    value = complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
     k = max(1, g.degree())
     mag = abs(value)
     return ExpSumResult(
@@ -121,28 +122,53 @@ class PhaseSumSpec:
         return cls(g, N, M, Y, gamma, weighted)
 
 
+def _float_values(poly: IntPoly, m: np.ndarray) -> np.ndarray:
+    """float(poly(m)) of the exact integer value, for an int64 array m >= 0.
+
+    Horner runs in Python integers (an object array), so no partial value
+    overflows whatever the coefficients; each value is rounded to float
+    once, at the end.
+    """
+    x = m.astype(object)
+    acc = np.zeros(m.shape, dtype=object)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc.astype(np.float64)
+
+
 def phase_sum(spec: PhaseSumSpec) -> complex:
-    """Direct summation over m = 1..M with the W(g; Y) membership filter."""
-    prof = profile_for(spec.g, spec.Y)
-    dg = spec.g.derivative()
-    gamma = spec.gamma
+    """Sum over m = 1..M in W(g; Y) of g'(m) e(g(m) gamma), in blocks of m.
+
+    The rational part a/q of gamma enters through the exact residues
+    a g(m) mod q; a float offset (or a float-only gamma) multiplies the
+    float of the exact g(m), and a weight is the float of the exact g'(m).
+    Terms are summed with fsum.
+    """
+    M = spec.M
+    if M > PHASE_GUARD:
+        raise TooLarge(f"M={M} phase terms exceed the PHASE_GUARD of {PHASE_GUARD}")
+    g, gamma = spec.g, spec.gamma
     if gamma.frac is not None:
-        a, q = gamma.frac.numerator, gamma.frac.denominator
+        a, q, off = gamma.frac.numerator, gamma.frac.denominator, gamma.offset
     else:
-        a, q = 0, 1
-    off = gamma.offset if gamma.frac is not None else gamma.value()
+        a, q, off = 0, 1, gamma.value()
+    dg = g.derivative()
+    adm = profile_for(g, spec.Y).mask(M + 1)
     reals, imags = [], []
-    two_pi = 2.0 * math.pi
-    for m in range(1, spec.M + 1):
-        if not prof.in_W(m):
-            continue
-        hm = spec.g.evaluate(m)
-        ph = ((hm * a) % q) / q + hm * off
-        w = float(dg.evaluate(m)) if spec.weighted else 1.0
-        ang = two_pi * math.fmod(ph, 1.0)
-        reals.append(w * math.cos(ang))
-        imags.append(w * math.sin(ang))
-    return complex(math.fsum(reals), math.fsum(imags))
+    for lo in range(1, M + 1, _CHUNK):
+        m = lo + np.flatnonzero(adm[lo : lo + _CHUNK])
+        r = (values_mod(g.coeffs, m, q) * (a % q)) % q
+        ph = np.asarray(r / q, dtype=np.float64)
+        if off:
+            ph = ph + _float_values(g, m) * off
+        ang = 2.0 * math.pi * np.fmod(ph, 1.0)
+        w = _float_values(dg, m) if spec.weighted else 1.0
+        reals.append(w * np.cos(ang))
+        imags.append(w * np.sin(ang))
+    return complex(
+        math.fsum(chain.from_iterable(t.tolist() for t in reals)),
+        math.fsum(chain.from_iterable(t.tolist() for t in imags)),
+    )
 
 
 def normalized_S(spec: PhaseSumSpec) -> complex:
@@ -164,26 +190,11 @@ class ScanRow:
 
 
 def _scan_row(g: IntPoly, prof: SieveProfile, k: int, q: int) -> ScanRow:
-    relevant = [pd for pd in prof.per_prime.values() if q % pd.modulus == 0]
-    mask = np.ones(q, dtype=bool)
-    for pd in relevant:
-        for b in pd.bad:
-            mask[b::pd.modulus] = False
-    if q < (1 << 31):
-        cs = np.array([c % q for c in g.coeffs], dtype=np.int64)
-        s = np.arange(q, dtype=np.int64)
-        acc = np.zeros(q, dtype=np.int64)
-        for c in cs[::-1]:
-            acc = (acc * s + c) % q
-        res = acc
-    else:
-        res = np.array([g.evaluate_mod(s, q) for s in range(q)], dtype=object)
-    counts = np.bincount(res[mask].astype(np.int64), minlength=q)
+    res = _admissible_values(g, prof, q)
     if q == 1:
-        m = float(counts.sum())
-        return ScanRow(1, 0, m, m, m, int(mask.sum()))
-    F = np.fft.fft(counts.astype(np.float64))
-    mags = np.abs(F)
+        m = float(res.size)
+        return ScanRow(1, 0, m, m, m, res.size)
+    mags = np.abs(np.fft.fft(np.bincount(res, minlength=q).astype(np.float64)))
     coprime = np.gcd(np.arange(q), q) == 1
     coprime[0] = False
     max_abs = float(mags[coprime].max())
@@ -193,7 +204,7 @@ def _scan_row(g: IntPoly, prof: SieveProfile, k: int, q: int) -> ScanRow:
         max_abs,
         max_abs / math.sqrt(q),
         max_abs / q ** (1.0 - 1.0 / k),
-        int(mask.sum()),
+        res.size,
     )
 
 
@@ -202,24 +213,22 @@ def cancellation_scan(
     q_max: int,
     Y: Optional[float],
     squarefree_only: bool = False,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """max_a |S(a, q)| over a coprime to q, for each q <= q_max.
 
     Per q, the exact residues a*g(s) mod q reduce to a histogram whose DFT
     gives |S(a, q)| for every a at once (magnitudes are conjugation
-    symmetric).  Rows are merged in ascending q, so the result is
-    deterministic regardless of the worker count.
+    symmetric).  Rows come in ascending q.
     """
+    if q_max * (q_max + 1) // 2 > SCAN_GUARD:
+        raise TooLarge(f"q_max={q_max} scans more residues than the SCAN_GUARD of {SCAN_GUARD}")
     k = max(1, g.degree())
     prof = profile_for(g, Y, q_max)
-    qs = [q for q in range(1, q_max + 1) if not squarefree_only or is_squarefree(q)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(lambda q: _scan_row(g, prof, k, q), qs))
-    else:
-        rows = [_scan_row(g, prof, k, q) for q in qs]
-    return rows
+    return [
+        _scan_row(g, prof, k, q)
+        for q in range(1, q_max + 1)
+        if not squarefree_only or is_squarefree(q)
+    ]
 
 
 def fitted_C(rows: list[ScanRow]) -> float:

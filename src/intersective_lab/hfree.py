@@ -17,6 +17,7 @@ from .errors import SetOutOfRange, TooLarge
 from .intpoly import IntPoly
 
 EXACT_LIMIT = 60
+GREEDY_GUARD = 10**6  # N: the positions one greedy scan visits
 
 
 def _root_bound(p: IntPoly) -> int:
@@ -100,6 +101,8 @@ def greedy_h_free(inst: HFreeInstance) -> list[int]:
     scan reads one flag per n.
     """
     N = inst.N
+    if N > GREEDY_GUARD:
+        raise TooLarge(f"N={N} exceeds the greedy scan's GREEDY_GUARD of {GREEDY_GUARD}")
     forb = np.array(inst.forbidden, dtype=np.int64)
     blocked = np.zeros(N + 1 + int(forb.max(initial=0)), dtype=bool)
     out = []

@@ -18,10 +18,13 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .arcs_fourier import TorusPoint, fft_grid_size
-from .errors import InvariantViolation, SetOutOfRange
+from .errors import InvariantViolation, SetOutOfRange, TooLarge
 from .hfree import HFreeInstance, is_h_free
 from .intersective import AuxFamily
 from .numutil import factorize
+
+GRID_GUARD = 1 << 23  # FFT grid points G of one arc survey
+ENTRY_GUARD = 300_000  # arcs of the winning bucket, each built as a GammaEntry
 
 
 @dataclass
@@ -191,6 +194,8 @@ def select_gamma(
     K = kappa / sf
     q_max = min(q_cap, max(1, math.floor(kappa / sf ** (k + 1))))
     G = fft_grid_size(N, oversample)
+    if G > GRID_GUARD:
+        raise TooLarge(f"FFT grid of {G} points exceeds the GRID_GUARD of {GRID_GUARD}")
     x = np.zeros(G, dtype=np.float64)
     x[elems % G] = 1.0  # distinct: A lies in [1, N] and N <= G
     magA = _magnitude_grid(x)  # |1_A-hat(j / G)|
@@ -256,6 +261,10 @@ def select_gamma(
     totals[np.bincount(code) == 0] = -np.inf
     win = int(np.argmax(totals))  # first maximum: smallest bexp, then qexp
     chosen = keep[code == win]  # ascending index = ascending (q, a)
+    if chosen.size > ENTRY_GUARD:
+        raise TooLarge(
+            f"winning bucket holds {chosen.size} arcs, more than the ENTRY_GUARD of {ENTRY_GUARD}"
+        )
     entries = tuple(
         GammaEntry(a, q, TorusPoint.rational(a, q, (j + r) / G - a / q), peak, m)
         for a, q, j, r, peak, m in zip(

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
     LiftAmbiguous,
     NestingViolation,
@@ -32,7 +30,7 @@ from .errors import (
     PrimeOutOfRange,
 )
 from .intpoly import IntPoly
-from .numutil import crt, factorize, padic_valuation, primes_up_to
+from .numutil import crt, factorize, padic_valuation, primes_up_to, roots_mod
 
 
 @dataclass(frozen=True)
@@ -200,17 +198,6 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 # Root enumeration modulo prime powers
 # ----------------------------------------------------------------------
 
-def _roots_mod_p(g: IntPoly, p: int) -> list[int]:
-    if p < (1 << 15):
-        cs = np.array([c % p for c in g.coeffs], dtype=np.int64)
-        s = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in cs[::-1]:
-            acc = (acc * s + c) % p
-        return [int(r) for r in np.nonzero(acc == 0)[0]]
-    return [s for s in range(p) if g.evaluate_mod(s, p) == 0]
-
-
 def _lift_level(g: IntPoly, p: int, roots: list[int], j: int) -> list[int]:
     """Roots of g mod p^j from the roots mod p^(j-1)."""
     pj = p**j
@@ -226,7 +213,7 @@ def _lift_level(g: IntPoly, p: int, roots: list[int], j: int) -> list[int]:
 
 def _all_roots_mod(g: IntPoly, p: int, e: int) -> list[int]:
     """Every residue r in [0, p^e) with g(r) = 0 (mod p^e), by branch lifting."""
-    roots = _roots_mod_p(g, p)
+    roots = roots_mod(g.coeffs, p)
     for j in range(2, e + 1):
         if not roots:
             return []
@@ -288,7 +275,7 @@ def _first_power_without_root(h: IntPoly, p: int) -> int:
     k = max(1, h.degree())
     cont_all = math.gcd(*[abs(c) for c in h.coeffs])
     cap = k * k * (2 * vmax + 1) + (padic_valuation(cont_all, p) if cont_all % p == 0 else 0) + 8
-    roots = _roots_mod_p(h, p)
+    roots = roots_mod(h.coeffs, p)
     j = 1
     while roots:
         j += 1

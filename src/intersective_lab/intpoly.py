@@ -31,10 +31,6 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def x_power(cls, k: int, coeff: int = 1) -> "IntPoly":
-        return cls([0] * k + [coeff])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

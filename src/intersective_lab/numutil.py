@@ -6,6 +6,11 @@ import math
 
 import numpy as np
 
+from .errors import TooLarge
+
+HORNER_BOUND = 1 << 31  # m below this keeps (m - 1)^2 + m - 1 inside int64
+RESIDUE_GUARD = 10**7  # m: residues [0, m) held in one array by a full scan
+
 
 def primes_up_to(limit: float) -> list[int]:
     """All primes p <= limit (sieve of Eratosthenes)."""
@@ -18,6 +23,32 @@ def primes_up_to(limit: float) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return [int(p) for p in np.nonzero(sieve)[0]]
+
+
+def values_mod(coeffs, s, m: int) -> np.ndarray:
+    """g(s) mod m for g = sum coeffs[i] x^i and a 1-D integer array s.
+
+    Horner's rule reduced mod m at every step: in int64 while m is below
+    HORNER_BOUND, in Python integers (an object array) above it.
+    """
+    dtype = np.int64 if m < HORNER_BOUND else object
+    s = np.asarray(s).astype(dtype) % m
+    acc = np.zeros(s.shape, dtype=dtype)
+    for c in reversed(coeffs):
+        acc = (acc * s + c % m) % m
+    return acc
+
+
+def residue_guard(m: int) -> None:
+    """TooLarge when a scan over all of [0, m) would pass RESIDUE_GUARD."""
+    if m > RESIDUE_GUARD:
+        raise TooLarge(f"modulus {m} exceeds the RESIDUE_GUARD of {RESIDUE_GUARD}")
+
+
+def roots_mod(coeffs, m: int) -> list[int]:
+    """Every s in [0, m) with g(s) = 0 (mod m), by evaluating all of them."""
+    residue_guard(m)
+    return np.flatnonzero(values_mod(coeffs, np.arange(m), m) == 0).tolist()
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -78,19 +109,21 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def int_nth_root(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 0, k >= 1, exactly."""
+    """floor(n**(1/k)) for n >= 0, k >= 1, exactly.
+
+    Integer Newton iteration from 2^ceil(bits/k), which is above the root,
+    so no float is formed and n may have any number of digits.
+    """
     if n < 0 or k < 1:
         raise ValueError("int_nth_root expects n >= 0, k >= 1")
-    if n in (0, 1) or k == 1:
+    if n < 2 or k == 1:
         return n
-    if k == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def padic_valuation(n: int, p: int) -> int:

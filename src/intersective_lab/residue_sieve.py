@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ZeroDerivative
 from .intpoly import IntPoly
-from .numutil import primes_up_to
+from .numutil import primes_up_to, roots_mod
 
 WHEEL_CAP = 10**8
 
@@ -54,21 +54,9 @@ def gamma_exponent(g: IntPoly, p: int) -> int:
     return gamma
 
 
-def _bad_residues(dg: IntPoly, m: int) -> tuple[int, ...]:
-    if m < (1 << 31):
-        cs = np.array([c % m for c in dg.coeffs], dtype=np.int64)
-        s = np.arange(m, dtype=np.int64)
-        acc = np.zeros(m, dtype=np.int64)
-        for c in cs[::-1]:
-            acc = (acc * s + c) % m
-        return tuple(int(r) for r in np.nonzero(acc == 0)[0])
-    return tuple(s for s in range(m) if dg.evaluate_mod(s, m) == 0)
-
-
 def root_count(g: IntPoly, p: int) -> tuple[int, tuple[int, ...]]:
     """(j, bad): count and sorted residues s mod p^gamma with g'(s) = 0."""
-    m = p ** gamma_exponent(g, p)
-    bad = _bad_residues(g.derivative(), m)
+    bad = tuple(roots_mod(g.derivative().coeffs, p ** gamma_exponent(g, p)))
     return len(bad), bad
 
 
@@ -80,9 +68,18 @@ class PrimeData:
     bad: frozenset[int]
 
 
+def _strike(length: int, prime_data) -> np.ndarray:
+    """Flags on [0, length): False at every bad residue of every PrimeData."""
+    adm = np.ones(length, dtype=bool)
+    for pd in prime_data:
+        for b in pd.bad:
+            adm[b :: pd.modulus] = False
+    return adm
+
+
 @dataclass(frozen=True)
 class SieveProfile:
-    """Per-prime data for all p <= Y, plus membership machinery."""
+    """Per-prime data for all p <= Y; mask/mask_mod sieve, in_W/in_Wq are their oracles."""
 
     g: IntPoly
     Y: float
@@ -95,9 +92,17 @@ class SieveProfile:
         for p in primes_up_to(Y):
             gamma = gamma_exponent(g, p)
             m = p**gamma
-            bad = _bad_residues(dg, m)
+            bad = roots_mod(dg.coeffs, m)
             data[p] = PrimeData(gamma, m, len(bad), frozenset(bad))
         return cls(g, Y, data)
+
+    def mask(self, X: int) -> np.ndarray:
+        """W(g; Y) flags on [0, X): entry n is True iff n is in W."""
+        return _strike(X, self.per_prime.values())
+
+    def mask_mod(self, q: int) -> np.ndarray:
+        """W^q flags on [0, q): only primes with p^gamma | q are sieved."""
+        return _strike(q, [pd for pd in self.per_prime.values() if q % pd.modulus == 0])
 
     def in_W(self, n: int) -> bool:
         for pd in self.per_prime.values():
@@ -117,14 +122,6 @@ class SieveProfile:
         for pd in self.per_prime.values():
             L *= pd.modulus
         return L
-
-
-def in_W(profile: SieveProfile, n: int) -> bool:
-    return profile.in_W(n)
-
-
-def in_Wq(profile: SieveProfile, q: int, n: int) -> bool:
-    return profile.in_Wq(q, n)
 
 
 def expected_density(profile: SieveProfile, exact: bool = False):
@@ -168,20 +165,11 @@ def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCou
     if method == "wheel":
         if L > min(X, WHEEL_CAP):
             raise ValueError(f"wheel needs period L={L} <= min(X, {WHEEL_CAP})")
-        adm = np.ones(L, dtype=bool)
-        for pd in profile.per_prime.values():
-            for b in pd.bad:
-                adm[b::pd.modulus] = False
+        adm = profile.mask(L)
         full, rem = divmod(X, L)
         count = full * int(adm.sum()) + int(adm[1 : rem + 1].sum())
     elif method == "mark":
-        adm = np.ones(X, dtype=bool)  # index i <-> n = i + 1
-        for pd in profile.per_prime.values():
-            m = pd.modulus
-            for b in pd.bad:
-                start = b if b >= 1 else m
-                adm[start - 1 :: m] = False
-        count = int(adm.sum())
+        count = int(profile.mask(X + 1)[1:].sum())
     elif method == "loop":
         count = sum(1 for n in range(1, X + 1) if profile.in_W(n))
     else:

@@ -183,6 +183,11 @@ def test_sieve_report_keeps_period_beyond_digit_limit(tmp_path):
         ["arcs", "--N", "100", "--K", "1", "--Q", "3", "--threads", "-3"],
         ["expsum-scan", "--poly", "x^2", "--q-max", "0"],
         ["expsum-scan", "--poly", "x^2", "--q-max", "-1"],
+        ["main-term", "--poly", "x^2", "--a", "1", "--q", "3", "--Y", "10", "--N", "0"],
+        ["increment", "--poly", "x^2", "--N", "0"],
+        ["sieve", "--poly", "x^2", "--Y", "10", "--X", "0"],
+        ["maxset", "--poly", "x^2", "--N", "-3"],
+        ["arcs", "--N", "0", "--K", "1", "--Q", "3"],
     ],
 )
 def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
@@ -245,3 +250,43 @@ def test_energy_work_guard_is_quick(tmp_path, capsys, flags, bound):
     err = capsys.readouterr().err
     assert bound in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, guard",
+    [
+        (["main-term", "--poly", "x^2", "--a", "1", "--q", "3", "--Y", "10", "--N", "1" + "0" * 400],
+         "PHASE_GUARD"),
+        (["main-term", "--poly", "x^3", "--a", "1", "--q", "3", "--Y", "10", "--N", "1" + "0" * 400],
+         "PHASE_GUARD"),
+        (["expsum-scan", "--poly", "x^3", "--q-max", "100000000"], "SCAN_GUARD"),
+        (["maxset", "--poly", "x^2", "--N", "100000000"], "GREEDY_GUARD"),
+        (["increment", "--poly", "x^2", "--N", "30000000"], "GREEDY_GUARD"),
+        # g' = 2^34 x: gamma(g; 2) = 35, so the bad residues live mod 2^35
+        (["sieve", "--poly", "8589934592x^2", "--Y", "3", "--X", "10"], "RESIDUE_GUARD"),
+        (["main-term", "--poly", "x^2", "--a", "1", "--q", "3000000001", "--Y", "3", "--N", "100"],
+         "RESIDUE_GUARD"),
+    ],
+)
+def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):
+    t0 = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert guard in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_increment_csv_leaves_missing_q_used_empty(tmp_path):
+    csv_path = tmp_path / "t.csv"
+    out = tmp_path / "r.json"
+    argv = ["increment", "--poly", "x^2", "--N", "22695", "--set", "greedy", "--kappa", "0.00171272"]
+    assert main([*argv, "--out", str(out), "--csv", str(csv_path)]) == 0
+    traj = json.loads(out.read_text())["result"]["trajectory"]
+    assert [st["q_used"] for st in traj] == [5, None]
+    assert csv_path.read_text().splitlines() == [
+        "i,N_i,d_i,size_A,sigma_i,q_used",
+        "0,22695,1,987,0.0434897554527,5",
+        "1,250,5,43,0.172,",
+    ]

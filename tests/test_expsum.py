@@ -3,10 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intersective_lab.arcs_fourier import TorusPoint
-from intersective_lab.errors import NotCoprime
+from intersective_lab.errors import NotCoprime, TooLarge
 from intersective_lab.expsum import (
+    PHASE_GUARD,
+    SCAN_GUARD,
     PhaseSumSpec,
     cancellation_scan,
     complete_sum,
@@ -14,6 +18,7 @@ from intersective_lab.expsum import (
     main_term_check,
     normalized_S,
     phase_sum,
+    profile_for,
 )
 from intersective_lab.intersective import AuxFamily
 from intersective_lab.intpoly import IntPoly
@@ -103,6 +108,7 @@ def test_phase_sum_examples():
     assert cmath.isclose(phase_sum(spec), -1.0, abs_tol=1e-12)
     spec = PhaseSumSpec.for_poly(X2, 3, 9, 1, TorusPoint.rational(1, 4), weighted=True)
     assert cmath.isclose(phase_sum(spec), 4 + 8j, abs_tol=1e-12)
+    assert phase_sum(PhaseSumSpec.for_poly(X2, 0, 1, 1, TorusPoint.rational(1, 4))) == 0
 
 
 def test_phase_sum_trivial_bound():
@@ -111,7 +117,6 @@ def test_phase_sum_trivial_bound():
     for _ in range(20):
         gamma = TorusPoint(None, rng.random())
         spec = PhaseSumSpec.for_family(fam, 1, 10_000, 5, gamma, weighted=True)
-        from intersective_lab.expsum import profile_for
         prof = profile_for(spec.g, 5)
         dg = spec.g.derivative()
         bound = sum(abs(dg.evaluate(m)) for m in range(1, spec.M + 1) if prof.in_W(m))
@@ -180,13 +185,6 @@ def test_scan_row_matches_complete_sum():
         assert abs(best - row.max_abs) < 1e-8
 
 
-def test_scan_threads_deterministic():
-    r1 = cancellation_scan(X3, 60, 60, squarefree_only=True, threads=1)
-    r8 = cancellation_scan(X3, 60, 60, squarefree_only=True, threads=8)
-    assert r1 == r8
-    assert fitted_C(r1) == fitted_C(r8)
-
-
 def test_main_term_closed_form_case():
     fam = AuxFamily(X2, bound=50)
     res = main_term_check(fam, 1, 1, 1, 1, 10**6)
@@ -215,3 +213,112 @@ def test_dirichlet_threshold_diagnostic():
     z = dirichlet_threshold_Z(10**6)
     assert math.isclose(math.log(z), math.log(math.log(10**6)) ** 3)
     assert dirichlet_threshold_Z(10**7) > z
+
+
+def literal_phase_sum(spec):
+    """The per-m definition: membership by in_W, exact g(m), one term at a time."""
+    prof = profile_for(spec.g, spec.Y)
+    dg = spec.g.derivative()
+    gamma = spec.gamma
+    if gamma.frac is not None:
+        a, q, off = gamma.frac.numerator, gamma.frac.denominator, gamma.offset
+    else:
+        a, q, off = 0, 1, gamma.value()
+    reals, imags, size = [], [], 0.0
+    for m in range(1, spec.M + 1):
+        if not prof.in_W(m):
+            continue
+        hm = spec.g.evaluate(m)
+        ph = ((hm * a) % q) / q + hm * off
+        w = float(dg.evaluate(m)) if spec.weighted else 1.0
+        ang = 2.0 * math.pi * math.fmod(ph, 1.0)
+        reals.append(w * math.cos(ang))
+        imags.append(w * math.sin(ang))
+        size += abs(w)
+    return complex(math.fsum(reals), math.fsum(imags)), size
+
+
+def sieve_friendly_polys(bound):
+    """Coefficients up to bound, with g'(0) = c_1 in [1, 30] so every p^gamma
+    stays small (a g' divisible by a large prime power has a huge modulus)."""
+    big = st.integers(-bound, bound)
+    return st.builds(
+        lambda c0, c1, rest: IntPoly([c0, c1, *rest]),
+        big, st.integers(1, 30), st.lists(big, max_size=3),
+    )
+
+
+phase_gammas = st.one_of(
+    st.builds(
+        TorusPoint.rational,
+        st.integers(0, 10**12),
+        st.one_of(st.integers(1, 60), st.integers(2**31 - 5, 2**40)),
+        st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3, allow_nan=False)),
+    ),
+    st.builds(TorusPoint.from_float, st.floats(0, 1, allow_nan=False, exclude_max=True)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    sieve_friendly_polys(10**12),
+    st.integers(1, 300),
+    st.integers(0, 20),
+    phase_gammas,
+    st.booleans(),
+)
+# coefficients past 2^63: one block left empty by the sieve, one kept whole
+@example(IntPoly([0, 3 * 2**63 + 1, 1]), 1, 5, TorusPoint.rational(1, 3), True)
+@example(IntPoly([0, 3 * 2**63 + 1, 1]), 5, 0, TorusPoint.rational(1, 3, 1e-30), True)
+def test_phase_sum_matches_literal_loop(g, M, Y, gamma, weighted):
+    # coefficients up to 1e12 push g(m) and g'(m) past int64
+    spec = PhaseSumSpec.for_poly(g, M, M, Y, gamma, weighted=weighted)
+    want, size = literal_phase_sum(spec)
+    assert abs(phase_sum(spec) - want) <= 1e-12 * max(1.0, size)
+
+
+def test_phase_sum_across_blocks():
+    g = IntPoly([3, -1, 0, 2])
+    for gamma in (TorusPoint.rational(5, 17), TorusPoint.rational(2, 9, 1e-9)):
+        spec = PhaseSumSpec.for_poly(g, 70_000, 70_000, 7, gamma, weighted=True)
+        want, size = literal_phase_sum(spec)
+        assert abs(phase_sum(spec) - want) <= 1e-12 * size
+
+
+def literal_complete_sum(g, a, q, Y):
+    prof = profile_for(g, Y, q)
+    res = [(a * g.evaluate(s)) % q for s in range(q) if prof.in_Wq(q, s)]
+    value = complex(
+        math.fsum(math.cos(2 * math.pi * r / q) for r in res),
+        math.fsum(math.sin(2 * math.pi * r / q) for r in res),
+    )
+    return value, len(res)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sieve_friendly_polys(10**9),
+    st.integers(1, 400),
+    st.integers(-(10**6), 10**6),
+    st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_complete_sum_matches_literal_loop(g, q, a, Y):
+    a = a if math.gcd(a, q) == 1 else 1
+    want, count = literal_complete_sum(g, a, q, Y)
+    got = complete_sum(g, a, q, Y)
+    assert got.admissible == count
+    assert abs(got.value - want) <= 1e-12 * max(1, count)
+
+
+def test_guards_sit_above_benchmark_sizes():
+    assert PHASE_GUARD >= 2 * 10**5
+    assert SCAN_GUARD >= 1400 * 1401 // 2
+    assert SCAN_GUARD >= 2000 * 2001 // 2  # the README's scan
+
+
+def test_phase_and_scan_guards():
+    spec = PhaseSumSpec.for_poly(X2, PHASE_GUARD + 1, 1, 3, TorusPoint.rational(1, 3))
+    with pytest.raises(TooLarge, match="PHASE_GUARD"):
+        phase_sum(spec)
+    with pytest.raises(TooLarge, match="SCAN_GUARD"):
+        cancellation_scan(X3, 10**8, None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.hfree import (
+    GREEDY_GUARD,
     HFreeInstance,
     Violation,
     greedy_h_free,
@@ -161,3 +162,10 @@ def test_negative_leading_coefficient():
     h = IntPoly([9, 0, -1])
     inst = HFreeInstance.build(h, 20)
     assert inst.forbidden == (5, 8)
+
+
+def test_greedy_guard():
+    # survey sets reach N = 2^16 and the kernel row N = 1e5
+    assert GREEDY_GUARD >= 10**5
+    with pytest.raises(TooLarge, match="GREEDY_GUARD"):
+        greedy_h_free(HFreeInstance.build(X2, GREEDY_GUARD + 1))

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intersective_lab.arcs_fourier import TorusPoint, arc_l2_mass
+from intersective_lab import increment
+from intersective_lab.arcs_fourier import TorusPoint, arc_l2_mass, fft_grid_size
 from intersective_lab.hfree import HFreeInstance, greedy_h_free, is_h_free
-from intersective_lab.errors import SetOutOfRange
+from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.increment import (
     _magnitude_grid,
     GammaEntry,
@@ -294,3 +295,16 @@ def test_run_iteration_nu_formula_mode(fam_x2):
     nu = formula_nu(N, sigma)
     t = len(states) - 1
     assert t <= math.log(1 / sigma) / math.log(1 + nu / 73)
+
+
+def test_survey_guards(fam_x2, monkeypatch):
+    # the N = 1e5 survey uses a 2^22-point grid and keeps 132,812 arcs
+    assert increment.GRID_GUARD >= fft_grid_size(10**5, 32)
+    assert increment.ENTRY_GUARD > 132_812
+    with pytest.raises(TooLarge, match="GRID_GUARD"):
+        select_gamma([1], 30_000_000, fam_x2, 1)
+    A = greedy_h_free(HFreeInstance.build(X2, 2000))
+    assert len(select_gamma(A, 2000, fam_x2, 1, q_cap=64).entries) > 1
+    monkeypatch.setattr(increment, "ENTRY_GUARD", 1)
+    with pytest.raises(TooLarge, match="ENTRY_GUARD"):
+        select_gamma(A, 2000, fam_x2, 1, q_cap=64)

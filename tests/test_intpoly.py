@@ -1,11 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective_lab.errors import NonIntegralQuotient, ZeroPolynomialError
+from intersective_lab.errors import NonIntegralQuotient, TooLarge, ZeroPolynomialError
 from intersective_lab.intpoly import IntPoly
+from intersective_lab.numutil import (
+    HORNER_BOUND,
+    RESIDUE_GUARD,
+    int_nth_root,
+    roots_mod,
+    values_mod,
+)
 
 X2 = IntPoly([0, 0, 1])
 X2M1 = IntPoly([-1, 0, 1])
@@ -130,3 +138,51 @@ def test_second_difference_via_taylor_shift():
         lhs = p.evaluate(x0 + 1) - 2 * p.evaluate(x0) + p.evaluate(x0 - 1)
         rhs = 2 * sum(c for i, c in enumerate(q.coeffs) if i >= 2 and i % 2 == 0)
         assert lhs == rhs
+
+
+# moduli on both sides of the int64 Horner bound 2^31, a few well past it
+moduli = st.one_of(
+    st.integers(1, 2**31 - 1),
+    st.integers(2**31, 2**31 + 1000),
+    st.integers(2**31, 2**70),
+    st.sampled_from([2**31 - 1, 2**31, 3_037_000_500, 2**63 + 5]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**30), 10**30), max_size=7),
+    moduli,
+    st.lists(st.integers(0, 2**70), max_size=12),
+)
+def test_values_mod_matches_evaluate_mod(coeffs, m, xs):
+    s = [x % m for x in xs]
+    got = values_mod(coeffs, np.array(s, dtype=np.int64 if m <= 2**63 else object), m)
+    assert [int(v) for v in got] == [IntPoly(coeffs).evaluate_mod(x, m) for x in s]
+    assert (got.dtype == np.int64) == (m < HORNER_BOUND)
+
+
+def test_values_mod_full_residue_range():
+    g = IntPoly([-5, 0, 0, 7, 1])
+    for m in (1, 2, 97, 2**15 + 3):
+        got = values_mod(g.coeffs, np.arange(m, dtype=np.int64), m)
+        assert got.tolist() == [g.evaluate_mod(x, m) for x in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**3000), st.integers(1, 12))
+def test_int_nth_root_is_exact_floor(n, k):
+    r = int_nth_root(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=6), st.integers(1, 3000))
+def test_roots_mod_is_the_residue_scan(coeffs, m):
+    g = IntPoly(coeffs)
+    assert roots_mod(coeffs, m) == [s for s in range(m) if g.evaluate_mod(s, m) == 0]
+
+
+def test_roots_mod_guard():
+    with pytest.raises(TooLarge, match="RESIDUE_GUARD"):
+        roots_mod((0, 1), RESIDUE_GUARD + 1)

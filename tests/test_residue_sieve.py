@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersective_lab.errors import ZeroDerivative
 from intersective_lab.intpoly import IntPoly
@@ -9,8 +11,6 @@ from intersective_lab.residue_sieve import (
     SieveProfile,
     expected_density,
     gamma_exponent,
-    in_W,
-    in_Wq,
     root_count,
     sieve_count,
 )
@@ -44,19 +44,19 @@ def test_root_count():
 
 def test_membership():
     prof = SieveProfile.build(X2, 3)
-    assert in_W(prof, 1) is True
-    assert in_W(prof, 2) is False
+    assert prof.in_W(1) is True
+    assert prof.in_W(2) is False
     empty = SieveProfile.build(X2, 1.5)
-    assert all(in_W(empty, n) for n in range(-5, 50))
+    assert all(empty.in_W(n) for n in range(-5, 50))
 
 
 def test_membership_wq():
     prof = SieveProfile.build(X2, 5)
-    assert in_Wq(prof, 4, 2) is False
-    assert in_Wq(prof, 2, 2) is True  # gamma_2 = 2 and 4 does not divide 2
-    assert all(in_Wq(prof, 1, n) for n in range(30))
+    assert prof.in_Wq(4, 2) is False
+    assert prof.in_Wq(2, 2) is True  # gamma_2 = 2 and 4 does not divide 2
+    assert all(prof.in_Wq(1, n) for n in range(30))
     prof3 = SieveProfile.build(X3, 10)
-    assert in_Wq(prof3, 9, 3) is False
+    assert prof3.in_Wq(9, 3) is False
 
 
 def test_expected_density():
@@ -125,3 +125,22 @@ def test_small_X_warns():
     prof = SieveProfile.build(X3, 50)
     with pytest.warns(UserWarning):
         sieve_count(prof, 30, method="mark")
+
+
+sieve_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=5).filter(
+    lambda cs: any(cs[1:])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sieve_polys, st.integers(0, 30), st.integers(0, 400))
+def test_mask_matches_in_W(coeffs, Y, X):
+    prof = SieveProfile.build(IntPoly(coeffs), Y)
+    assert prof.mask(X).tolist() == [prof.in_W(n) for n in range(X)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sieve_polys, st.integers(0, 30), st.integers(1, 400))
+def test_mask_mod_matches_in_Wq(coeffs, Y, q):
+    prof = SieveProfile.build(IntPoly(coeffs), Y)
+    assert prof.mask_mod(q).tolist() == [prof.in_Wq(q, n) for n in range(q)]
