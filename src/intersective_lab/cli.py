@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -324,7 +324,8 @@ def _cmd_expsum_scan(args) -> Report:
     g = parse_poly(args.poly)
     Y = None if args.Y == "all" else float(args.Y)
     rows = cancellation_scan(g, args.q_max, Y, squarefree_only=args.squarefree)
-    table = [asdict(r) for r in rows]  # q, omega, max_abs, ratio_sqrt, ratio_weyl, admissible
+    # q, omega, max_abs, ratio_sqrt, ratio_weyl, admissible: flat fields, so no deep copy
+    table = [dict(vars(r)) for r in rows]
     return Report(
         {"rows": table, "fitted_C": fitted_C(rows), "q_max": args.q_max},
         csv_rows=table,

@@ -25,7 +25,7 @@ from .arcs_fourier import TorusPoint
 from .errors import NotCoprime, TooLarge
 from .intersective import AuxFamily
 from .intpoly import IntPoly
-from .numutil import int_nth_root, is_squarefree, omega, residue_guard, values_mod
+from .numutil import factorize, int_nth_root, prime_guard, residue_guard, values_mod
 from .residue_sieve import SieveProfile, expected_density
 
 PHASE_GUARD = 10**7  # M: the terms m <= M of one phase sum
@@ -40,8 +40,9 @@ def _cached_profile(coeffs: tuple[int, ...], y_floor: int) -> SieveProfile:
 
 def profile_for(g: IntPoly, Y: Optional[float], q: int = 0) -> SieveProfile:
     """Profile for cutoff Y; Y=None is the all-primes-<=q sentinel."""
-    y = math.floor(Y) if Y is not None else q
-    return _cached_profile(g.coeffs, max(0, y))
+    y = Y if Y is not None else q
+    prime_guard(y)
+    return _cached_profile(g.coeffs, max(0, math.floor(y)))
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,16 @@ def _float_values(poly: IntPoly, m: np.ndarray) -> np.ndarray:
 
     Horner runs in Python integers (an object array), so no partial value
     overflows whatever the coefficients; each value is rounded to float
-    once, at the end.
+    once, at the end, and one past the float range raises TooLarge.
     """
     x = m.astype(object)
     acc = np.zeros(m.shape, dtype=object)
     for c in reversed(poly.coeffs):
         acc = acc * x + c
-    return acc.astype(np.float64)
+    try:
+        return acc.astype(np.float64)
+    except OverflowError:
+        raise TooLarge(f"a polynomial value at m <= {m.max()} is past the float range") from None
 
 
 def phase_sum(spec: PhaseSumSpec) -> complex:
@@ -189,23 +193,16 @@ class ScanRow:
     admissible: int
 
 
-def _scan_row(g: IntPoly, prof: SieveProfile, k: int, q: int) -> ScanRow:
-    res = _admissible_values(g, prof, q)
-    if q == 1:
-        m = float(res.size)
-        return ScanRow(1, 0, m, m, m, res.size)
-    mags = np.abs(np.fft.fft(np.bincount(res, minlength=q).astype(np.float64)))
-    coprime = np.gcd(np.arange(q), q) == 1
-    coprime[0] = False
-    max_abs = float(mags[coprime].max())
-    return ScanRow(
-        q,
-        omega(q),
-        max_abs,
-        max_abs / math.sqrt(q),
-        max_abs / q ** (1.0 - 1.0 / k),
-        res.size,
-    )
+def _prime_power_row(g: IntPoly, prof: SieveProfile, p: int, pe: int) -> tuple[float, int]:
+    """(max over a prime to p of |S(a, p^e)|, |W^{p^e}|) for pe = p^e.
+
+    The exact residues g(s) mod p^e reduce to a histogram whose real DFT
+    gives |S(a, p^e)| for every a at once; magnitudes are conjugation
+    symmetric, so a in [1, p^e / 2] covers every unit up to sign.
+    """
+    res = _admissible_values(g, prof, pe)
+    mags = np.abs(np.fft.rfft(np.bincount(res, minlength=pe).astype(np.float64)))
+    return float(mags[np.arange(mags.size) % p != 0].max()), res.size
 
 
 def cancellation_scan(
@@ -216,19 +213,35 @@ def cancellation_scan(
 ) -> list[ScanRow]:
     """max_a |S(a, q)| over a coprime to q, for each q <= q_max.
 
-    Per q, the exact residues a*g(s) mod q reduce to a histogram whose DFT
-    gives |S(a, q)| for every a at once (magnitudes are conjugation
-    symmetric).  Rows come in ascending q.
+    Complete sums are multiplicative in q.  For coprime q1, q2, CRT splits
+    W^{q1 q2} into W^{q1} x W^{q2} and gives
+    S(a, q1 q2) = S(a q2', q1) S(a q1', q2) with q2' = q2^-1 mod q1 and
+    q1' = q1^-1 mod q2, and a -> (a q2', a q1') is a bijection on units.
+    So max |S| and the admissible count are products over p^e || q: a DFT
+    runs once per prime power and every other row is a product.  Rows come
+    in ascending q.
     """
     if q_max * (q_max + 1) // 2 > SCAN_GUARD:
         raise TooLarge(f"q_max={q_max} scans more residues than the SCAN_GUARD of {SCAN_GUARD}")
     k = max(1, g.degree())
     prof = profile_for(g, Y, q_max)
-    return [
-        _scan_row(g, prof, k, q)
-        for q in range(1, q_max + 1)
-        if not squarefree_only or is_squarefree(q)
-    ]
+    local: dict[int, tuple[float, int]] = {}
+    rows = []
+    for q in range(1, q_max + 1):
+        fac = factorize(q)
+        if squarefree_only and any(e > 1 for _, e in fac):
+            continue
+        max_abs, admissible = 1.0, 1
+        for p, e in fac:
+            pe = p**e
+            if pe not in local:
+                local[pe] = _prime_power_row(g, prof, p, pe)
+            m, c = local[pe]
+            max_abs *= m
+            admissible *= c
+        ratio_weyl = max_abs / q ** (1.0 - 1.0 / k)
+        rows.append(ScanRow(q, len(fac), max_abs, max_abs / math.sqrt(q), ratio_weyl, admissible))
+    return rows
 
 
 def fitted_C(rows: list[ScanRow]) -> float:

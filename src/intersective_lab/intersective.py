@@ -23,14 +23,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     LiftAmbiguous,
     NestingViolation,
     NotIntersectiveError,
     PrimeOutOfRange,
+    TooLarge,
 )
 from .intpoly import IntPoly
-from .numutil import crt, factorize, padic_valuation, primes_up_to, roots_mod
+from .numutil import (
+    crt,
+    factorize,
+    padic_valuation,
+    primes_up_to,
+    roots_mod,
+    values_mod,
+)
+
+LIFT_GUARD = 10**6  # candidates r + t p^(j-1) of one lifting level, held in one array
 
 
 @dataclass(frozen=True)
@@ -122,12 +134,24 @@ def _primitive(fracs: list[Fraction]) -> IntPoly:
     return IntPoly(ints)
 
 
+@dataclass(frozen=True)
+class _SquarefreeFactor:
+    """One factor g^mult of Yun's split, with dg = g' and disc = Res(g, g')."""
+
+    g: IntPoly
+    mult: int
+    dg: IntPoly
+    disc: int
+
+
 @lru_cache(maxsize=256)
-def _squarefree_decomposition(coeffs: tuple[int, ...]) -> tuple[tuple[IntPoly, int], ...]:
-    """Yun's algorithm: factors (g_i, i) with h = unit * prod g_i^i.
+def _squarefree_decomposition(coeffs: tuple[int, ...]) -> tuple[_SquarefreeFactor, ...]:
+    """Yun's algorithm: factors g_i^i with h = unit * prod g_i^i.
 
     Each g_i is primitive, squarefree, with positive leading coefficient;
-    degree-0 parts are dropped (they carry no roots).
+    degree-0 parts are dropped (they carry no roots).  Every p-adic step
+    reads g_i', Res(g_i, g_i') from here, so one resultant is taken per
+    factor per polynomial, not per prime.
     """
     h = [Fraction(c) for c in coeffs]
     if len(h) <= 1:
@@ -135,20 +159,23 @@ def _squarefree_decomposition(coeffs: tuple[int, ...]) -> tuple[tuple[IntPoly, i
     out = []
     g = _q_gcd(h, _q_deriv(h))
     if len(g) == 1:
-        return ((_primitive(h), 1),)
-    w, _ = _q_divmod(h, g)
-    y, _ = _q_divmod(_q_deriv(h), g)
-    z = _strip([yc - wc for yc, wc in _pairwise(y, _q_deriv(w))])
-    i = 1
-    while len(w) > 1:
-        gi = _q_gcd(w, z)
-        if len(gi) > 1:
-            out.append((_primitive(gi), i))
-        w, _ = _q_divmod(w, gi)
-        y, _ = _q_divmod(z, gi)
+        out.append((_primitive(h), 1))
+    else:
+        w, _ = _q_divmod(h, g)
+        y, _ = _q_divmod(_q_deriv(h), g)
         z = _strip([yc - wc for yc, wc in _pairwise(y, _q_deriv(w))])
-        i += 1
-    return tuple(out)
+        i = 1
+        while len(w) > 1:
+            gi = _q_gcd(w, z)
+            if len(gi) > 1:
+                out.append((_primitive(gi), i))
+            w, _ = _q_divmod(w, gi)
+            y, _ = _q_divmod(z, gi)
+            z = _strip([yc - wc for yc, wc in _pairwise(y, _q_deriv(w))])
+            i += 1
+    return tuple(
+        _SquarefreeFactor(g, i, g.derivative(), resultant(g, g.derivative())) for g, i in out
+    )
 
 
 def _pairwise(a: list[Fraction], b: list[Fraction]):
@@ -199,15 +226,29 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 # ----------------------------------------------------------------------
 
 def _lift_level(g: IntPoly, p: int, roots: list[int], j: int) -> list[int]:
-    """Roots of g mod p^j from the roots mod p^(j-1)."""
-    pj = p**j
+    """Roots of g mod p^j from the roots mod p^(j-1), in the order of the
+    candidates r + t p^(j-1), r in roots, t in [0, p).
+
+    For j >= 2 Taylor's formula gives g(r + t p^(j-1)) = g(r) + t p^(j-1) g'(r)
+    (mod p^j), so one values_mod call for g(r) mod p^j and one for
+    g'(r) mod p decide all p candidates of a root: one t when p does not
+    divide g'(r), else every t or none as p^j divides g(r) or not.
+    """
+    if len(roots) * p > LIFT_GUARD:
+        raise TooLarge(
+            f"{len(roots)} roots mod {p}^{j - 1} give more lift candidates "
+            f"than the LIFT_GUARD of {LIFT_GUARD}"
+        )
     pj1 = p ** (j - 1)
+    r = np.array(roots, dtype=object)
+    quot = (values_mod(g.coeffs, r, pj1 * p) // pj1).tolist()
+    slope = values_mod(g.derivative().coeffs, r % p, p).tolist()
     out = []
-    for r in roots:
-        for t in range(p):
-            c = r + t * pj1
-            if g.evaluate_mod(c, pj) == 0:
-                out.append(c)
+    for root, c, d in zip(roots, quot, slope):
+        if d:
+            out.append(root + (-c * pow(d, -1, p)) % p * pj1)
+        elif c == 0:
+            out.extend(root + t * pj1 for t in range(p))
     return out
 
 
@@ -237,24 +278,25 @@ def hensel_roots(h: IntPoly, p: int, prec: int) -> list[PAdicRootData]:
     if prec < 1:
         raise ValueError("prec must be >= 1")
     found: dict[int, int] = {}
-    for g, mult in _squarefree_decomposition(h.coeffs):
-        res = resultant(g, g.derivative())
-        if res == 0:
-            raise LiftAmbiguous(f"squarefree factor with zero discriminant: {g}")
-        V = padic_valuation(res, p) if res % p == 0 else 0
+    for f in _squarefree_decomposition(h.coeffs):
+        if f.disc == 0:
+            raise LiftAmbiguous(f"squarefree factor with zero discriminant: {f.g}")
+        V = padic_valuation(f.disc, p) if f.disc % p == 0 else 0
         E = max(prec + V, 2 * V + 1)
-        dg = g.derivative()
-        pE = p**E
-        for r in _all_roots_mod(g, p, E):
-            val = dg.evaluate_mod(r, pE)
-            v = padic_valuation(val, p) if val else E
-            if E <= 2 * v:
-                raise LiftAmbiguous(
-                    f"residue {r} mod {p}^{E} fails the strong Hensel criterion"
-                )
+        roots = _all_roots_mod(f.g, p, E)
+        # with V = 0, g and g' share no root mod p, so v_p(g'(r)) = 0 for all r
+        if V:
+            vals = values_mod(f.dg.coeffs, np.array(roots, dtype=object), p**E)
+            for r, val in zip(roots, vals.tolist()):
+                v = padic_valuation(val, p) if val else E
+                if E <= 2 * v:
+                    raise LiftAmbiguous(
+                        f"residue {r} mod {p}^{E} fails the strong Hensel criterion"
+                    )
+        for r in roots:
             t = r % p**prec
-            if found.get(t, 0) < mult:
-                found[t] = mult
+            if found.get(t, 0) < f.mult:
+                found[t] = f.mult
     return [
         PAdicRootData(p, t, prec, m) for t, m in sorted(found.items())
     ]
@@ -266,12 +308,8 @@ def _first_power_without_root(h: IntPoly, p: int) -> int:
     Only called when h has no Z_p root, which bounds the depth of the root
     tree; the cap below is a defensive multiple of that bound.
     """
-    decomp = _squarefree_decomposition(h.coeffs)
-    vmax = 0
-    for g, _ in decomp:
-        res = resultant(g, g.derivative())
-        if res % p == 0:
-            vmax = max(vmax, padic_valuation(res, p))
+    discs = [f.disc for f in _squarefree_decomposition(h.coeffs)]
+    vmax = max((padic_valuation(d, p) for d in discs if d % p == 0), default=0)
     k = max(1, h.degree())
     cont_all = math.gcd(*[abs(c) for c in h.coeffs])
     cap = k * k * (2 * vmax + 1) + (padic_valuation(cont_all, p) if cont_all % p == 0 else 0) + 8
@@ -309,8 +347,8 @@ def default_precision(h: IntPoly, p: int) -> int:
     else 1 (plain Hensel suffices).
     """
     R = abs(h.leading())
-    for g, _ in _squarefree_decomposition(h.coeffs):
-        R *= abs(resultant(g, g.derivative()))
+    for f in _squarefree_decomposition(h.coeffs):
+        R *= abs(f.disc)
     if R % p:
         return 1
     return padic_valuation(R, p) + h.degree() + 1

@@ -51,13 +51,6 @@ class IntPoly:
 
     __call__ = evaluate
 
-    def evaluate_mod(self, x: int, m: int) -> int:
-        """Horner evaluation reduced mod m at every step."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % m
-        return acc
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 

@@ -10,10 +10,12 @@ from .errors import TooLarge
 
 HORNER_BOUND = 1 << 31  # m below this keeps (m - 1)^2 + m - 1 inside int64
 RESIDUE_GUARD = 10**7  # m: residues [0, m) held in one array by a full scan
+PRIME_GUARD = 10**7  # limit: the flags [0, limit] of one Eratosthenes sieve
 
 
 def primes_up_to(limit: float) -> list[int]:
     """All primes p <= limit (sieve of Eratosthenes)."""
+    prime_guard(limit)
     n = math.floor(limit)
     if n < 2:
         return []
@@ -29,7 +31,9 @@ def values_mod(coeffs, s, m: int) -> np.ndarray:
     """g(s) mod m for g = sum coeffs[i] x^i and a 1-D integer array s.
 
     Horner's rule reduced mod m at every step: in int64 while m is below
-    HORNER_BOUND, in Python integers (an object array) above it.
+    HORNER_BOUND, in Python integers (an object array) above it.  Pass s as
+    an integer or object array: numpy reads a list that mixes values below
+    2^63 with larger ones as float64.
     """
     dtype = np.int64 if m < HORNER_BOUND else object
     s = np.asarray(s).astype(dtype) % m
@@ -37,6 +41,12 @@ def values_mod(coeffs, s, m: int) -> np.ndarray:
     for c in reversed(coeffs):
         acc = (acc * s + c % m) % m
     return acc
+
+
+def prime_guard(limit: float) -> None:
+    """TooLarge when a prime bound (inf included) would pass PRIME_GUARD."""
+    if limit > PRIME_GUARD:
+        raise TooLarge(f"prime bound {limit} exceeds the PRIME_GUARD of {PRIME_GUARD}")
 
 
 def residue_guard(m: int) -> None:
@@ -68,15 +78,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n))
-
-
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n))
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

@@ -21,11 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ZeroDerivative
+from .errors import TooLarge, ZeroDerivative
 from .intpoly import IntPoly
 from .numutil import primes_up_to, roots_mod
 
 WHEEL_CAP = 10**8
+MARK_GUARD = 10**8  # X: the flags [0, X] of one mark segment
 
 
 def _vanishes_identically(f: IntPoly, m: int) -> bool:
@@ -149,7 +150,8 @@ def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCou
                (needs L <= min(X, 1e8)); full periods times X // L plus the
                boundary segment.
       mark  -- boolean segment over [1, X], bad residues struck per prime
-               (the per-prime filtering used when L is out of reach).
+               (the per-prime filtering used when L is out of reach; needs
+               X <= MARK_GUARD).
       loop  -- literal per-n membership loop; slow oracle path.
     """
     Y = profile.Y
@@ -169,6 +171,8 @@ def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCou
         full, rem = divmod(X, L)
         count = full * int(adm.sum()) + int(adm[1 : rem + 1].sum())
     elif method == "mark":
+        if X > MARK_GUARD:
+            raise TooLarge(f"X={X} exceeds the MARK_GUARD of {MARK_GUARD} for method mark")
         count = int(profile.mask(X + 1)[1:].sum())
     elif method == "loop":
         count = sum(1 for n in range(1, X + 1) if profile.in_W(n))

@@ -266,6 +266,11 @@ def test_energy_work_guard_is_quick(tmp_path, capsys, flags, bound):
         (["sieve", "--poly", "8589934592x^2", "--Y", "3", "--X", "10"], "RESIDUE_GUARD"),
         (["main-term", "--poly", "x^2", "--a", "1", "--q", "3000000001", "--Y", "3", "--N", "100"],
          "RESIDUE_GUARD"),
+        # the period is above the wheel cap, so mark would hold X + 1 flags
+        (["sieve", "--poly", "x^3+x^2-2x", "--Y", "30", "--X", "1000000000000"], "MARK_GUARD"),
+        (["check-intersective", "--poly", "x^2+x+1", "--bound", "1000000000000"], "PRIME_GUARD"),
+        (["sieve", "--poly", "x^2", "--Y", "inf", "--X", "100"], "PRIME_GUARD"),
+        (["expsum-scan", "--poly", "x^3", "--q-max", "10", "--Y", "inf"], "PRIME_GUARD"),
     ],
 )
 def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):
@@ -275,6 +280,16 @@ def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert guard in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_phase_values_past_float_range_give_one_line(tmp_path, capsys):
+    poly = f"x^2+{10**400 + 1}x"
+    argv = ["main-term", "--poly", poly, "--a", "1", "--q", "3", "--Y", "3", "--N", "100000"]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err
     assert not (tmp_path / "r.json").exists()
 
 

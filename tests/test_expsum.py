@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from intersective_lab.expsum import (
 )
 from intersective_lab.intersective import AuxFamily
 from intersective_lab.intpoly import IntPoly
-from intersective_lab.numutil import _egcd
+from intersective_lab.numutil import _egcd, values_mod
 
 X2 = IntPoly([0, 0, 1])
 X3 = IntPoly([0, 0, 0, 1])
@@ -322,3 +323,43 @@ def test_phase_and_scan_guards():
         phase_sum(spec)
     with pytest.raises(TooLarge, match="SCAN_GUARD"):
         cancellation_scan(X3, 10**8, None)
+
+
+def literal_scan_row(g, prof, k, q):
+    """The per-q definition: one histogram DFT of the residues mod q, max over units."""
+    res = values_mod(g.coeffs, np.flatnonzero(prof.mask_mod(q)), q)
+    if q == 1:
+        m = float(res.size)
+        return (1, 0, m, m, m, res.size)
+    mags = np.abs(np.fft.fft(np.bincount(res, minlength=q).astype(np.float64)))
+    coprime = np.gcd(np.arange(q), q) == 1
+    coprime[0] = False
+    max_abs = float(mags[coprime].max())
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
+    return (q, len(primes), max_abs, max_abs / math.sqrt(q), max_abs / q ** (1.0 - 1.0 / k), res.size)
+
+
+def literal_scan(g, q_max, Y, squarefree_only):
+    prof = profile_for(g, Y, q_max)
+    k = max(1, g.degree())
+    return [
+        literal_scan_row(g, prof, k, q)
+        for q in range(1, q_max + 1)
+        if not squarefree_only or all(q % (d * d) for d in range(2, q + 1))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sieve_friendly_polys(10**6),
+    st.integers(1, 200),
+    st.one_of(st.none(), st.just(1), st.integers(2, 12)),
+    st.booleans(),
+)
+def test_cancellation_scan_matches_per_q_dft(g, q_max, Y, squarefree_only):
+    got = cancellation_scan(g, q_max, Y, squarefree_only=squarefree_only)
+    want = literal_scan(g, q_max, Y, squarefree_only)
+    assert [(r.q, r.omega, r.admissible) for r in got] == [(w[0], w[1], w[5]) for w in want]
+    for r, w in zip(got, want):
+        for value, oracle in zip((r.max_abs, r.ratio_sqrt, r.ratio_weyl), w[2:5]):
+            assert abs(value - oracle) <= 1e-9 * max(1.0, oracle)

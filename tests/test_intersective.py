@@ -2,18 +2,25 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from intersective_lab.errors import PrimeOutOfRange
+from intersective_lab import intersective
+from intersective_lab.errors import LiftAmbiguous, PrimeOutOfRange, TooLarge
 from intersective_lab.intersective import (
+    LIFT_GUARD,
     AuxFamily,
     IntersectiveUpTo,
     NotIntersective,
+    PAdicRootData,
+    _lift_level,
+    _squarefree_decomposition,
     check_intersective,
     hensel_roots,
     resultant,
 )
 from intersective_lab.intpoly import IntPoly
-from intersective_lab.numutil import factorize, primes_up_to
+from intersective_lab.numutil import HORNER_BOUND, factorize, padic_valuation, primes_up_to, roots_mod
 
 X2 = IntPoly([0, 0, 1])
 X2M1 = IntPoly([-1, 0, 1])
@@ -220,3 +227,124 @@ def test_cross_choice_selector():
     for x in range(1, 30):
         assert 6 * got.evaluate(x) == X2M1.evaluate(-1 + 6 * x)
     assert -6 < alt.verify_nesting(1, 6, 30) <= 0
+
+
+def literal_lift(g, p, roots, j):
+    """The residue loop: every candidate r + t p^(j-1) evaluated on its own."""
+    pj, pj1 = p**j, p ** (j - 1)
+    return [r + t * pj1 for r in roots for t in range(p) if g.evaluate(r + t * pj1) % pj == 0]
+
+
+def literal_hensel_roots(h, p, prec):
+    """hensel_roots with the lifting and the derivative test done per residue."""
+    found = {}
+    for f in _squarefree_decomposition(h.coeffs):
+        V = padic_valuation(f.disc, p) if f.disc % p == 0 else 0
+        E = max(prec + V, 2 * V + 1)
+        roots = [r for r in range(p) if f.g.evaluate(r) % p == 0]
+        for j in range(2, E + 1):
+            roots = literal_lift(f.g, p, roots, j)
+        for r in roots:
+            val = f.dg.evaluate(r) % p**E
+            v = padic_valuation(val, p) if val else E
+            if E <= 2 * v:
+                raise LiftAmbiguous(r)
+            t = r % p**prec
+            found[t] = max(found.get(t, 0), f.mult)
+    return [PAdicRootData(p, t, prec, m) for t, m in sorted(found.items())]
+
+
+small_polys = st.lists(st.integers(-60, 60), min_size=2, max_size=5).map(IntPoly).filter(
+    lambda g: g.degree() >= 1
+)
+
+
+@settings(max_examples=80, deadline=None)
+# 46349^2 is just past the int64 Horner bound 2^31, as are 2^j and 3^j for large j
+@given(small_polys, st.sampled_from([2, 3, 5, 7, 13, 46349]), st.integers(2, 40))
+def test_lift_level_matches_residue_loop(g, p, depth):
+    roots = roots_mod(g.coeffs, p)
+    budget = 60_000  # literal evaluations per example; one root mod 46349 fits
+    for j in range(2, depth + 1):
+        budget -= len(roots) * p
+        if not roots or budget < 0:
+            break
+        want = literal_lift(g, p, roots, j)
+        assert _lift_level(g, p, roots, j) == want
+        roots = want
+
+
+def test_lift_level_reaches_object_path():
+    # x^2 - 17 has two 2-adic roots; lifting to 2^40 passes 2^31 on the way
+    g = IntPoly([-17, 0, 1])
+    roots = roots_mod(g.coeffs, 2)
+    for j in range(2, 41):
+        want = literal_lift(g, 2, roots, j)
+        roots = _lift_level(g, 2, roots, j)
+        assert roots == want
+    assert 2**40 > HORNER_BOUND and len(roots) == 4
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_polys,
+    st.integers(1, 2),
+    st.one_of(st.none(), small_polys),
+    st.sampled_from([2, 3, 5, 7, 13]),
+    st.integers(1, 34),
+)
+@example(IntPoly([-17, 0, 1]), 1, None, 2, 34)
+def test_hensel_roots_match_residue_loop(f1, m, f2, p, prec):
+    # f1^m f2 gives factors of multiplicity 1 and 2
+    h = poly_mul(f1, f1) if m == 2 else f1
+    h = poly_mul(h, f2) if f2 is not None else h
+    while p**prec > 2**40:  # keeps the literal loop short; 2^34 and 3^25 pass 2^31
+        prec -= 1
+    try:
+        want = literal_hensel_roots(h, p, prec)
+    except LiftAmbiguous:
+        with pytest.raises(LiftAmbiguous):
+            hensel_roots(h, p, prec)
+        return
+    assert hensel_roots(h, p, prec) == want
+
+
+def test_hensel_roots_past_int64():
+    # at depth E = 64 the residues mix values below and above 2^63, which
+    # numpy turns into float64 unless they are held as Python integers;
+    # for the cubic (V = 8) that is prec = 56
+    cubic = poly_mul(IntPoly([-17, 0, 1]), IntPoly([-3, 1]))
+    for h in (IntPoly([-17, 0, 1]), cubic, SEXTIC):
+        for prec in range(50, 67):
+            assert hensel_roots(h, 2, prec) == literal_hensel_roots(h, 2, prec)
+
+
+def test_resultant_once_per_squarefree_factor(monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(f)
+        return resultant(f, g)
+
+    monkeypatch.setattr(intersective, "resultant", counting)
+    # (x^2-2)^2 (x^2-3)(x^2-6) splits into two squarefree factors
+    two_factors = poly_mul(poly_mul(IntPoly([-2, 0, 1]), IntPoly([-2, 0, 1])), IntPoly([18, 0, -9, 0, 1]))
+    for h, B, factors in ((SEXTIC, 1000, 1), (two_factors, 200, 2)):
+        _squarefree_decomposition.cache_clear()
+        calls.clear()
+        check_intersective(h, B)
+        assert len(_squarefree_decomposition(h.coeffs)) == factors
+        assert len(calls) == factors
+
+
+def test_lift_guard_refuses_before_allocating():
+    with pytest.raises(TooLarge, match="LIFT_GUARD"):
+        _lift_level(IntPoly([0, 1]), 2, list(range(LIFT_GUARD // 2 + 1)), 30)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective_lab.errors import ZeroDerivative
+from intersective_lab.errors import TooLarge, ZeroDerivative
 from intersective_lab.intpoly import IntPoly
+from intersective_lab.numutil import PRIME_GUARD, primes_up_to
 from intersective_lab.residue_sieve import (
+    MARK_GUARD,
     SieveProfile,
     expected_density,
     gamma_exponent,
@@ -144,3 +146,18 @@ def test_mask_matches_in_W(coeffs, Y, X):
 def test_mask_mod_matches_in_Wq(coeffs, Y, q):
     prof = SieveProfile.build(IntPoly(coeffs), Y)
     assert prof.mask_mod(q).tolist() == [prof.in_Wq(q, n) for n in range(q)]
+
+
+def test_prime_and_mark_guards_sit_above_targets():
+    # benchmark sizes X <= 1e7, B <= 8000, Y <= 9000; the B = 4e4 and
+    # Y = 1e6 targets; and complete sums at q up to RESIDUE_GUARD = 1e7
+    assert MARK_GUARD >= 10**7
+    assert PRIME_GUARD >= 10**7
+    with pytest.raises(TooLarge, match="PRIME_GUARD"):
+        primes_up_to(PRIME_GUARD + 1)
+    with pytest.raises(TooLarge, match="PRIME_GUARD"):
+        primes_up_to(float("inf"))
+    prof = SieveProfile.build(IntPoly([0, -2, 1, 1]), 30)
+    assert prof.period() > MARK_GUARD + 1
+    with pytest.raises(TooLarge, match="MARK_GUARD"):
+        sieve_count(prof, MARK_GUARD + 1, method="mark")
