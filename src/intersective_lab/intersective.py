@@ -18,7 +18,6 @@ strong Hensel lifting certifies each surviving residue.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,10 +38,15 @@ from .numutil import (
     padic_valuation,
     primes_up_to,
     roots_mod,
+    roots_mod_primes,
     values_mod,
 )
 
 LIFT_GUARD = 10**6  # candidates r + t p^(j-1) of one lifting level, held in one array
+# check_intersective takes the primes up to this before the rest, so a small
+# witness (a 2-adic one reaches 2^7 on the sextics (x^2-p)(x^2-q)(x^2-pq))
+# ends the check before the batch of larger primes is computed
+SMALL_PRIMES = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -324,20 +328,46 @@ def _first_power_without_root(h: IntPoly, p: int) -> int:
 
 
 def _integer_root(h: IntPoly) -> int | None:
-    """Some integer root of h, or None (rational-root test on divisors of a_0)."""
+    """Some integer root of h, or None.
+
+    Every integer root r lies within the Cauchy bound C = 1 + max|a_i / a_k|
+    and reduces mod a prime p dividing neither a_k nor any Res(g_i, g_i') to
+    a simple root of a squarefree factor g_i, whose Hensel lift to p^e > 2C
+    has r as its symmetric residue.  So the symmetric residues of those lifts
+    are the only candidates.  Of several roots, the one returned is the one
+    the divisor order d = 1, 2, ... of the rational-root test meets first:
+    the least min(|r|, |a_0 / r|), then d, -d, a_0/d, -a_0/d.
+    """
     if h.is_zero():
         return None
     if h.evaluate(0) == 0:
         return 0
     a0 = abs(h.coeffs[0])
-    d = 1
-    while d * d <= a0:
-        if a0 % d == 0:
-            for c in (d, -d, a0 // d, -(a0 // d)):
-                if h.evaluate(c) == 0:
-                    return c
-        d += 1
-    return None
+    bound = 2 + max(abs(c) for c in h.coeffs[:-1]) // abs(h.leading())
+    R = _singular_product(h)
+    p = 2  # R has fewer than log2(R) prime factors, so this ends soon
+    while R % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += 1
+    found = []
+    for f in _squarefree_decomposition(h.coeffs):
+        for r in roots_mod_primes(f.g.coeffs, [p])[0]:
+            m = p
+            while m <= 2 * bound:
+                m *= m
+                r = (r - f.g.evaluate(r) * pow(f.dg.evaluate(r), -1, m)) % m
+            c = r if 2 * r <= m else r - m
+            if h.evaluate(c) == 0:
+                d = min(abs(c), a0 // abs(c))
+                found.append(((d, (d, -d, a0 // d, -(a0 // d)).index(c)), c))
+    return min(found)[1] if found else None
+
+
+def _singular_product(h: IntPoly) -> int:
+    """|a_k| * prod |Res(g_i, g_i')| over the squarefree factors g_i of h."""
+    R = abs(h.leading())
+    for f in _squarefree_decomposition(h.coeffs):
+        R *= abs(f.disc)
+    return R
 
 
 def default_precision(h: IntPoly, p: int) -> int:
@@ -346,9 +376,7 @@ def default_precision(h: IntPoly, p: int) -> int:
     e_p = v_p(Res(h_sf, h_sf') * a_k) + k + 1 when p divides that product,
     else 1 (plain Hensel suffices).
     """
-    R = abs(h.leading())
-    for f in _squarefree_decomposition(h.coeffs):
-        R *= abs(f.disc)
+    R = _singular_product(h)
     if R % p:
         return 1
     return padic_valuation(R, p) + h.degree() + 1
@@ -368,20 +396,47 @@ def check_intersective(h: IntPoly, B: int) -> IntersectivityVerdict:
         return IntersectiveUpTo(None, {}, integer_root=n0)
     roots: dict[int, PAdicRootData] = {}
     best_witness: int | None = None
-    for p in primes_up_to(B):
-        if best_witness is not None and p > best_witness:
-            break
-        prec = default_precision(h, p)
-        cands = hensel_roots(h, p, prec)
-        if not cands:
-            w = _first_power_without_root(h, p)
-            if best_witness is None or w < best_witness:
-                best_witness = w
-            continue
-        roots[p] = _select_root(cands, p, prec)
+    R = _singular_product(h)
+    primes = primes_up_to(B)
+    for chunk in ([p for p in primes if p <= SMALL_PRIMES], [p for p in primes if p > SMALL_PRIMES]):
+        if best_witness is not None:
+            chunk = [p for p in chunk if p <= best_witness]
+        simple = _precision_one_roots(h, [p for p in chunk if R % p])
+        for p in chunk:
+            if best_witness is not None and p > best_witness:
+                break
+            if p in simple:
+                chosen, w = simple[p], p
+            else:
+                prec = default_precision(h, p)
+                cands = hensel_roots(h, p, prec)
+                chosen = _select_root(cands, p, prec) if cands else None
+                w = None if cands else _first_power_without_root(h, p)
+            if chosen is None:
+                if best_witness is None or w < best_witness:
+                    best_witness = w
+            else:
+                roots[p] = chosen
     if best_witness is not None:
         return NotIntersective(best_witness)
     return IntersectiveUpTo(B, roots)
+
+
+def _precision_one_roots(h: IntPoly, primes: list[int]) -> dict[int, PAdicRootData | None]:
+    """The default choice among hensel_roots(h, p, 1) for primes p dividing
+    neither a_k nor any Res(g_i, g_i'), or None when h has no root mod p.
+
+    There hensel_roots(h, p, 1) holds the roots mod p of every squarefree
+    factor g_i, each with multiplicity i, so the choice (largest
+    multiplicity, then least residue) needs only one roots_mod_primes batch
+    per factor.
+    """
+    key: dict[int, tuple[int, int]] = {}
+    for f in _squarefree_decomposition(h.coeffs):
+        for p, found in zip(primes, roots_mod_primes(f.g.coeffs, primes)):
+            if found and (p not in key or (-f.mult, found[0]) < key[p]):
+                key[p] = (-f.mult, found[0])
+    return {p: PAdicRootData(p, key[p][1], 1, -key[p][0]) if p in key else None for p in primes}
 
 
 def _digits(n: int, p: int, length: int) -> tuple[int, ...]:
@@ -420,8 +475,7 @@ class AuxFamily:
     """An intersective h with its per-prime root data and memoized h_d.
 
     Root data is materialized lazily per prime (up to `bound`) and the d
-    memo fills on demand; both are guarded by a lock so concurrent readers
-    see consistent data.  h is negated on construction if its leading
+    memo fills on demand.  h is negated on construction if its leading
     coefficient is negative (`negated` records this).
 
     Downstream quantities (r_d, h_d, the sieve data) depend on which z_p is
@@ -440,7 +494,6 @@ class AuxFamily:
         self._selector = selector or _select_root
         self._roots: dict[int, PAdicRootData] = {}
         self._memo: dict[int, AuxRecord] = {}
-        self._lock = threading.RLock()
 
     # -- per-prime root data -------------------------------------------------
 
@@ -448,24 +501,20 @@ class AuxFamily:
         """Chosen z_p truncated to at least min_prec digits."""
         if p > self.bound:
             raise PrimeOutOfRange(p, self.bound)
-        with self._lock:
-            cur = self._roots.get(p)
-            if cur is not None and cur.prec >= min_prec:
-                return cur
-            prec = max(min_prec, default_precision(self.h, p))
-            cands = hensel_roots(self.h, p, prec)
-            if not cands:
-                raise NotIntersectiveError(
-                    f"{self.h!r} has no {p}-adic root; not intersective"
-                )
-            chosen = self._selector(cands, p, prec)
-            self._roots[p] = chosen
-            return chosen
+        cur = self._roots.get(p)
+        if cur is not None and cur.prec >= min_prec:
+            return cur
+        prec = max(min_prec, default_precision(self.h, p))
+        cands = hensel_roots(self.h, p, prec)
+        if not cands:
+            raise NotIntersectiveError(f"{self.h!r} has no {p}-adic root; not intersective")
+        chosen = self._selector(cands, p, prec)
+        self._roots[p] = chosen
+        return chosen
 
     @property
     def roots(self) -> dict[int, PAdicRootData]:
-        with self._lock:
-            return dict(self._roots)
+        return dict(self._roots)
 
     def multiplicity(self, p: int) -> int:
         return self.root_data(p).multiplicity
@@ -496,18 +545,14 @@ class AuxFamily:
         return x - d if x > 0 else x
 
     def aux_record(self, d: int) -> AuxRecord:
-        with self._lock:
-            rec = self._memo.get(d)
-            if rec is not None:
-                return rec
-        r = self.r_of(d)
-        lam = self.lambda_of(d)
-        poly = self.h.shift_scale_divide(r, d, lam)
-        b, J = poly.coeff_stats()
-        rec = AuxRecord(r, lam, poly, b, J)
-        with self._lock:
-            self._memo.setdefault(d, rec)
-            return self._memo[d]
+        rec = self._memo.get(d)
+        if rec is None:
+            r = self.r_of(d)
+            lam = self.lambda_of(d)
+            poly = self.h.shift_scale_divide(r, d, lam)
+            b, J = poly.coeff_stats()
+            rec = self._memo[d] = AuxRecord(r, lam, poly, b, J)
+        return rec
 
     def aux_poly(self, d: int) -> IntPoly:
         """h_d(x) = h(r_d + d x) / lambda(d), memoized.

@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import TooLarge, ZeroDerivative
 from .intpoly import IntPoly
-from .numutil import primes_up_to, roots_mod
+from .numutil import primes_up_to, roots_mod, roots_mod_primes
 
 WHEEL_CAP = 10**8
 MARK_GUARD = 10**8  # X: the flags [0, X] of one mark segment
+LOOP_GUARD = 10**8  # X times the number of primes: the membership tests of method loop
 
 
 def _vanishes_identically(f: IntPoly, m: int) -> bool:
@@ -49,6 +50,9 @@ def gamma_exponent(g: IntPoly, p: int) -> int:
     dg = g.derivative()
     if dg.is_zero():
         raise ZeroDerivative("g is constant")
+    # a polynomial of degree below p that is nonzero mod p has fewer than p roots
+    if p > dg.degree() and math.gcd(*dg.coeffs) % p:
+        return 1
     gamma = 1
     while _vanishes_identically(dg, p**gamma):
         gamma += 1
@@ -88,12 +92,18 @@ class SieveProfile:
 
     @classmethod
     def build(cls, g: IntPoly, Y: float) -> "SieveProfile":
+        """Roots of g' mod p for all primes with gamma = 1 that do not divide
+        its leading coefficient come from one roots_mod_primes batch; the
+        other moduli p^gamma are scanned one by one."""
         dg = g.derivative()
+        primes = primes_up_to(Y)
+        gammas = [gamma_exponent(g, p) for p in primes]
+        batch = [p for p, gamma in zip(primes, gammas) if gamma == 1 and dg.leading() % p]
+        found = dict(zip(batch, roots_mod_primes(dg.coeffs, batch)))
         data = {}
-        for p in primes_up_to(Y):
-            gamma = gamma_exponent(g, p)
+        for p, gamma in zip(primes, gammas):
             m = p**gamma
-            bad = roots_mod(dg.coeffs, m)
+            bad = found[p] if p in found else roots_mod(dg.coeffs, m)
             data[p] = PrimeData(gamma, m, len(bad), frozenset(bad))
         return cls(g, Y, data)
 
@@ -152,7 +162,8 @@ def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCou
       mark  -- boolean segment over [1, X], bad residues struck per prime
                (the per-prime filtering used when L is out of reach; needs
                X <= MARK_GUARD).
-      loop  -- literal per-n membership loop; slow oracle path.
+      loop  -- literal per-n membership loop; slow oracle path (needs
+               X times the number of primes <= LOOP_GUARD).
     """
     Y = profile.Y
     if Y > math.e and math.log(X) < math.log(Y) * math.log(math.log(Y)):
@@ -175,6 +186,11 @@ def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCou
             raise TooLarge(f"X={X} exceeds the MARK_GUARD of {MARK_GUARD} for method mark")
         count = int(profile.mask(X + 1)[1:].sum())
     elif method == "loop":
+        if X * max(1, len(profile.per_prime)) > LOOP_GUARD:
+            raise TooLarge(
+                f"X={X} with {len(profile.per_prime)} primes exceeds the LOOP_GUARD of "
+                f"{LOOP_GUARD} membership tests for method loop"
+            )
         count = sum(1 for n in range(1, X + 1) if profile.in_W(n))
     else:
         raise ValueError(f"unknown method {method!r}")

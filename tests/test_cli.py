@@ -271,6 +271,7 @@ def test_energy_work_guard_is_quick(tmp_path, capsys, flags, bound):
         (["check-intersective", "--poly", "x^2+x+1", "--bound", "1000000000000"], "PRIME_GUARD"),
         (["sieve", "--poly", "x^2", "--Y", "inf", "--X", "100"], "PRIME_GUARD"),
         (["expsum-scan", "--poly", "x^3", "--q-max", "10", "--Y", "inf"], "PRIME_GUARD"),
+        (["sieve", "--poly", "x^2", "--Y", "10", "--X", "1000000000000", "--method", "loop"], "LOOP_GUARD"),
     ],
 )
 def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):
@@ -281,6 +282,15 @@ def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert guard in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_check_intersective_with_a_huge_constant_term(tmp_path):
+    # the rational-root test would trial-divide up to sqrt(2e20) = 1.4e10
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main(["check-intersective", "--poly", "x^2-200000000000000000000", "--bound", "100", "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert json.loads(out.read_text())["result"] == {"verdict": "not_intersective", "witness": 3}
 
 
 def test_phase_values_past_float_range_give_one_line(tmp_path, capsys):

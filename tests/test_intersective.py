@@ -1,3 +1,4 @@
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intersective_lab import intersective
+from intersective_lab import intersective, numutil
 from intersective_lab.errors import LiftAmbiguous, PrimeOutOfRange, TooLarge
 from intersective_lab.intersective import (
     LIFT_GUARD,
@@ -13,9 +14,13 @@ from intersective_lab.intersective import (
     IntersectiveUpTo,
     NotIntersective,
     PAdicRootData,
+    _first_power_without_root,
+    _integer_root,
     _lift_level,
+    _select_root,
     _squarefree_decomposition,
     check_intersective,
+    default_precision,
     hensel_roots,
     resultant,
 )
@@ -348,3 +353,103 @@ def test_resultant_once_per_squarefree_factor(monkeypatch):
 def test_lift_guard_refuses_before_allocating():
     with pytest.raises(TooLarge, match="LIFT_GUARD"):
         _lift_level(IntPoly([0, 1]), 2, list(range(LIFT_GUARD // 2 + 1)), 30)
+
+
+def literal_integer_root(h):
+    """The rational-root test: divisors d = 1, 2, ... of a_0 up to its square root."""
+    if h.evaluate(0) == 0:
+        return 0
+    a0 = abs(h.coeffs[0])
+    d = 1
+    while d * d <= a0:
+        if a0 % d == 0:
+            for c in (d, -d, a0 // d, -(a0 // d)):
+                if h.evaluate(c) == 0:
+                    return c
+        d += 1
+    return None
+
+
+def literal_check_intersective(h, B):
+    """check_intersective as one prime loop with the per-residue root step."""
+    n0 = literal_integer_root(h)
+    if n0 is not None:
+        return IntersectiveUpTo(None, {}, integer_root=n0)
+    roots, best = {}, None
+    for p in primes_up_to(B):
+        if best is not None and p > best:
+            break
+        prec = default_precision(h, p)
+        cands = literal_hensel_roots(h, p, prec)
+        if cands:
+            roots[p] = _select_root(cands, p, prec)
+        else:
+            w = _first_power_without_root(h, p)
+            best = w if best is None else min(best, w)
+    return NotIntersective(best) if best is not None else IntersectiveUpTo(B, roots)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (LiftAmbiguous, TooLarge) as exc:
+        return type(exc)
+
+
+# primitive, so that no prime divides every coefficient: the literal lifting
+# of such a root tree has no guard and grows like p^depth
+primitive_polys = small_polys.map(lambda g: IntPoly([c // math.gcd(*g.coeffs) for c in g.coeffs]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    primitive_polys,
+    st.integers(1, 2),
+    st.one_of(st.none(), primitive_polys),
+    st.integers(1, 300),
+    st.booleans(),
+)
+def test_check_intersective_matches_prime_loop(f1, m, f2, B, kernel):
+    h = poly_mul(f1, f1) if m == 2 else f1
+    h = poly_mul(h, f2) if f2 is not None else h
+    want = _outcome(literal_check_intersective, h, B)
+    # SCAN_WORK = -1 puts every batch through Cantor-Zassenhaus
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel:
+            mp.setattr(numutil, "SCAN_WORK", -1)
+        assert _outcome(check_intersective, h, B) == want
+
+
+@pytest.mark.parametrize("p, q", [(13, 17), (29, 53), (3, 7), (3, 19)])
+def test_check_intersective_matches_prime_loop_past_scan_work(p, q):
+    # intersective, fails only at 2 (witness 32) and fails at odd primes
+    h = IntPoly([-((p * q) ** 2), 0, p * q * (1 + p + q), 0, -(p + q + p * q), 0, 1])
+    assert sum(primes_up_to(1500)) * len(h.coeffs) > numutil.SCAN_WORK
+    assert check_intersective(h, 1500) == literal_check_intersective(h, 1500)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.integers(-50, 50), max_size=4),
+    st.one_of(st.none(), small_polys),
+    st.booleans(),
+)
+def test_integer_root_matches_divisor_order(c, roots, g, flip):
+    h = IntPoly([c])
+    for r in roots:
+        h = poly_mul(h, IntPoly([-r, 1]))
+    if g is not None:
+        h = poly_mul(h, g)
+    h = h.neg() if flip else h
+    if h.degree() >= 1:
+        assert _integer_root(h) == literal_integer_root(h)
+
+
+def test_integer_root_without_trial_division():
+    # |a_0| = 2e20 and 1e40: trial division would run to 1.4e10 and 1e20
+    assert _integer_root(IntPoly([-(2 * 10**20), 0, 1])) is None
+    assert _integer_root(IntPoly([-(10**40), 0, 1])) == 10**20
+    assert _integer_root(IntPoly([-(10**40), 0, 7])) is None
+    # the divisor order meets -2 (d = 2) before 3 and 6
+    assert _integer_root(poly_mul(poly_mul(IntPoly([-6, 1]), IntPoly([2, 1])), IntPoly([-3, 1]))) == -2

@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import numpy as np
@@ -5,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intersective_lab import numutil
 from intersective_lab.errors import NonIntegralQuotient, TooLarge, ZeroPolynomialError
 from intersective_lab.intpoly import IntPoly
 from intersective_lab.numutil import (
     HORNER_BOUND,
+    KERNEL_PRIME,
+    PRIME_GUARD,
     RESIDUE_GUARD,
     int_nth_root,
+    primes_up_to,
     roots_mod,
+    roots_mod_primes,
     values_mod,
 )
 
@@ -187,3 +193,97 @@ def test_roots_mod_is_the_residue_scan(coeffs, m):
 def test_roots_mod_guard():
     with pytest.raises(TooLarge, match="RESIDUE_GUARD"):
         roots_mod((0, 1), RESIDUE_GUARD + 1)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_from_roots(lead, roots, extra=(1,)):
+    """lead * prod (x - r) * extra, as coefficients."""
+    out = [lead]
+    for r in roots:
+        out = _times(out, [-r, 1])
+    return _times(out, list(extra))
+
+
+@contextlib.contextmanager
+def scan_work(value):
+    """roots_mod_primes with SCAN_WORK = value: -1 runs the kernel on every batch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numutil, "SCAN_WORK", value)
+        yield
+
+
+SMALL_PRIMES = primes_up_to(20_000)
+kernel_polys = st.one_of(
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=9).filter(lambda cs: cs[-1] != 0),
+    # repeated and shared roots: p divides the discriminant
+    st.builds(
+        poly_from_roots,
+        st.integers(-(10**6), 10**6).filter(bool),
+        st.lists(st.integers(-40, 40), max_size=8),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kernel_polys,
+    st.lists(st.sampled_from(SMALL_PRIMES), max_size=12),
+    st.sampled_from(["scan", "kernel", "kernel by rows"]),
+)
+def test_roots_mod_primes_matches_roots_mod(coeffs, extra, path):
+    # 2, 3 and the primes up to the degree always, where f can vanish on all of F_p
+    primes = [p for p in sorted({2, 3, 5, 7, *extra}) if coeffs[-1] % p]
+    with scan_work(10**9 if path == "scan" else -1), pytest.MonkeyPatch.context() as mp:
+        if path == "kernel by rows":
+            mp.setattr(numutil, "_TABLE_ENTRIES", 1)  # one prime per kernel call
+        got = roots_mod_primes(coeffs, primes)
+    assert got == [roots_mod(coeffs, p) for p in primes]
+
+
+BIG_PRIMES = [9_999_901, 9_999_937, 9_999_971, 9_999_973, 9_999_991, 16_777_199, 16_777_213]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 30), max_size=7),
+    st.lists(st.sampled_from(BIG_PRIMES), min_size=1, max_size=4, unique=True),
+    st.integers(1, 3),
+    st.integers(1, 10**40),
+)
+def test_roots_mod_primes_near_the_int64_bound(offsets, primes, k, lead):
+    # roots p - 1 - offset sit where residues, and so every product, are
+    # largest; x^2 - n with n a non-residue adds no root, (x^2 - n)^k and
+    # repeated offsets make p divide the discriminant
+    primes = [p for p in sorted(primes) if lead % p]
+    for p in primes:
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        roots = [p - 1 - o for o in offsets]
+        extra = [1]
+        for _ in range(k):
+            extra = _times(extra, [-n, 0, 1])
+        coeffs = poly_from_roots(lead, roots, extra)
+        got = roots_mod_primes(coeffs, [p, *[q for q in primes if q != p]])[0]
+        assert got == sorted(set(roots))
+
+
+def test_roots_mod_primes_kernel_bound_and_bad_input():
+    assert PRIME_GUARD < KERNEL_PRIME == 1 << 24
+    assert roots_mod_primes([1, 2, 3], []) == []
+    assert roots_mod_primes([5], [2, 3, 7]) == [[], [], []]
+    with pytest.raises(ValueError, match="leading coefficient"):
+        roots_mod_primes([1, 0, 3], [2, 3])
+    with pytest.raises(ValueError, match="below"):
+        roots_mod_primes([1, 1], [KERNEL_PRIME + 43])
+    with pytest.raises(ValueError, match="nonzero"):
+        roots_mod_primes([], [5])
+    # past KERNEL_DEGREE, whose power tables would not fit, each prime is scanned
+    f = [-1] + [0] * numutil.KERNEL_DEGREE + [1]  # x^(KERNEL_DEGREE + 1) - 1
+    primes = primes_up_to(600)
+    assert roots_mod_primes(f, primes) == [roots_mod(f, p) for p in primes]

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intersective_lab import numutil
 from intersective_lab.errors import TooLarge, ZeroDerivative
 from intersective_lab.intpoly import IntPoly
-from intersective_lab.numutil import PRIME_GUARD, primes_up_to
+from intersective_lab.numutil import PRIME_GUARD, padic_valuation, primes_up_to
 from intersective_lab.residue_sieve import (
+    LOOP_GUARD,
     MARK_GUARD,
+    PrimeData,
     SieveProfile,
     expected_density,
     gamma_exponent,
@@ -161,3 +164,52 @@ def test_prime_and_mark_guards_sit_above_targets():
     assert prof.period() > MARK_GUARD + 1
     with pytest.raises(TooLarge, match="MARK_GUARD"):
         sieve_count(prof, MARK_GUARD + 1, method="mark")
+
+
+def literal_build(g, Y):
+    """SieveProfile.build with gamma and the bad residues found per prime.
+
+    g' vanishes mod p^k everywhere once it does on 0..deg g' (every forward
+    difference is an integer combination of those values), so gamma is
+    1 + min v_p(g'(n)) over them; the bad residues are a scan of [0, p^gamma).
+    """
+    dg = g.derivative()
+    data = {}
+    for p in primes_up_to(Y):
+        vals = [dg.evaluate(n) for n in range(dg.degree() + 1)]
+        gamma = 1 + min(padic_valuation(v, p) for v in vals if v)
+        m = p**gamma
+        bad = [s for s in range(m) if dg.evaluate(s) % m == 0]
+        data[p] = PrimeData(gamma, m, len(bad), frozenset(bad))
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-(10**4), 10**4), min_size=2, max_size=8).filter(lambda cs: any(cs[1:])),
+    st.integers(0, 60),
+    st.booleans(),
+)
+def test_build_matches_per_prime_scan(coeffs, Y, kernel):
+    # SCAN_WORK = -1 puts every batch through Cantor-Zassenhaus
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel:
+            mp.setattr(numutil, "SCAN_WORK", -1)
+        prof = SieveProfile.build(IntPoly(coeffs), Y)
+    assert prof.per_prime == literal_build(IntPoly(coeffs), Y)
+
+
+@pytest.mark.parametrize("coeffs", [(0, -2, 1, 1), (-48841, 0, 6851, 0, -251, 0, 1), (7, 0, 0, 0, 12)])
+def test_build_matches_per_prime_scan_past_scan_work(coeffs):
+    g = IntPoly(coeffs)
+    assert sum(primes_up_to(2000)) * (len(coeffs) - 1) > numutil.SCAN_WORK
+    assert SieveProfile.build(g, 2000).per_prime == literal_build(g, 2000)
+
+
+def test_loop_guard():
+    prof = SieveProfile.build(X2, 10)
+    with pytest.raises(TooLarge, match="LOOP_GUARD"):
+        sieve_count(prof, LOOP_GUARD // 4 + 1, method="loop")
+    # no primes at all still counts as one membership test per n
+    with pytest.raises(TooLarge, match="LOOP_GUARD"):
+        sieve_count(SieveProfile.build(X2, 1), LOOP_GUARD + 1, method="loop")
