@@ -345,9 +345,9 @@ def _integer_root(h: IntPoly) -> int | None:
     a0 = abs(h.coeffs[0])
     bound = 2 + max(abs(c) for c in h.coeffs[:-1]) // abs(h.leading())
     R = _singular_product(h)
-    p = 2  # R has fewer than log2(R) prime factors, so this ends soon
-    while R % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        p += 1
+    # the primes up to x multiply to at least 2^(x/2), so R >= 1 misses one
+    # of those up to 2 log2(R) + 3
+    p = next(q for q in primes_up_to(2 * R.bit_length() + 3) if R % q)
     found = []
     for f in _squarefree_decomposition(h.coeffs):
         for r in roots_mod_primes(f.g.coeffs, [p])[0]:

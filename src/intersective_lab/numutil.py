@@ -67,15 +67,16 @@ def roots_mod(coeffs, m: int) -> list[int]:
 # Roots modulo many primes at once (Cantor-Zassenhaus on int64 rows)
 # ----------------------------------------------------------------------
 
-# Up to this many evaluations (residues times coefficients) in a batch, one
-# array evaluating f at every residue of every prime costs less than the
-# kernel's fixed cost of some thousand small array operations (5-10 ms on a
-# 2-core Xeon); past it the kernel wins, by 4-7x over the scan of each prime
-# at the primes up to 9000 for degree 5 and 6.
-SCAN_WORK = 5 * 10**5
+# Up to this many evaluations (residues times coefficients) in a batch,
+# scanning each prime with roots_mod costs less than the kernel's fixed cost
+# of some thousand small array operations (1-20 ms on a 2-core Xeon); past
+# it the kernel wins, by 3-5x at the primes up to 6400 for degree 2 to 8.
+SCAN_WORK = 10**6
 KERNEL_PRIME = 1 << 24  # p below this keeps every product of two residues below 2^48
-KERNEL_DEGREE = 1 << 9  # past it a row's power table (2 deg^2 int64) is too large to hold
 _TABLE_ENTRIES = 1 << 22  # power-table entries held at once: longer batches run in row chunks
+# A row's power table (about 2 deg^2 int64) must fit in _TABLE_ENTRIES; the
+# int64 bound (2 deg products below 2^48 summed) would allow deg up to 2^14.
+KERNEL_DEGREE = math.isqrt(_TABLE_ENTRIES // 2)
 _SHIFTS = 8  # shifts delta screened per row in a splitting round
 
 
@@ -84,12 +85,12 @@ def roots_mod_primes(coeffs, primes) -> list[list[int]]:
 
     Each p must be below KERNEL_PRIME (PRIME_GUARD keeps it there) and must
     not divide the leading coefficient.  The result equals
-    [roots_mod(coeffs, p) for p in primes].  Batches past SCAN_WORK go
+    [roots_mod(coeffs, p) for p in primes], which is how batches up to
+    SCAN_WORK and degrees past KERNEL_DEGREE are done.  Other batches go
     through Cantor-Zassenhaus with one int64 row per prime: x^p mod f by
     square-and-multiply, F = gcd(f, x^p - x) (its degree is the root count),
     then equal-degree splitting by gcd(F, (x + delta)^((p-1)/2) - 1) over a
-    fixed sequence of shifts delta, so the result is deterministic.  A
-    degree past KERNEL_DEGREE is scanned prime by prime.
+    fixed sequence of shifts delta, so the result is deterministic.
     """
     p = np.array(primes, dtype=np.int64).reshape(-1)
     if not p.size:
@@ -104,15 +105,12 @@ def roots_mod_primes(coeffs, primes) -> list[list[int]]:
     width = f.shape[1]
     if width == 1:
         return [[] for _ in primes]
-    if width > KERNEL_DEGREE + 1:
+    if width > KERNEL_DEGREE + 1 or p.sum() * width <= SCAN_WORK:
         return [roots_mod(coeffs, q) for q in p.tolist()]
-    if p.sum() * width <= SCAN_WORK:
-        rows, roots = _scan_rows(f, p)
-    else:
-        step = max(1, _TABLE_ENTRIES // (2 * width * width))
-        parts = [(i, *_cantor_zassenhaus(f[i : i + step], p[i : i + step])) for i in range(0, p.size, step)]
-        rows = np.concatenate([i + r for i, r, _ in parts])
-        roots = np.concatenate([s for _, _, s in parts])
+    step = max(1, _TABLE_ENTRIES // (2 * width * width))
+    parts = [(i, *_cantor_zassenhaus(f[i : i + step], p[i : i + step])) for i in range(0, p.size, step)]
+    rows = np.concatenate([i + r for i, r, _ in parts])
+    roots = np.concatenate([s for _, _, s in parts])
     ends = np.cumsum(np.bincount(rows, minlength=p.size)).tolist()
     flat = roots.tolist()
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
@@ -131,13 +129,6 @@ def _all_residues(p: np.ndarray):
     """(row, s) for every residue s in [0, p[row]) of every row, in order."""
     row = np.repeat(np.arange(p.size), p)
     return row, np.arange(row.size) - np.repeat(np.cumsum(p) - p, p)
-
-
-def _scan_rows(f: np.ndarray, p: np.ndarray):
-    """Sorted (row, root) pairs, from evaluating f at every residue of every row."""
-    row, s = _all_residues(p)
-    hit = values_mod([f[row, i] for i in range(f.shape[1])], s, p[row]) == 0
-    return row[hit], s[hit]
 
 
 def _cantor_zassenhaus(f: np.ndarray, p: np.ndarray):

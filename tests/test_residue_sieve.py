@@ -202,8 +202,8 @@ def test_build_matches_per_prime_scan(coeffs, Y, kernel):
 @pytest.mark.parametrize("coeffs", [(0, -2, 1, 1), (-48841, 0, 6851, 0, -251, 0, 1), (7, 0, 0, 0, 12)])
 def test_build_matches_per_prime_scan_past_scan_work(coeffs):
     g = IntPoly(coeffs)
-    assert sum(primes_up_to(2000)) * (len(coeffs) - 1) > numutil.SCAN_WORK
-    assert SieveProfile.build(g, 2000).per_prime == literal_build(g, 2000)
+    assert sum(primes_up_to(3000)) * (len(coeffs) - 1) > numutil.SCAN_WORK
+    assert SieveProfile.build(g, 3000).per_prime == literal_build(g, 3000)
 
 
 def test_loop_guard():
