@@ -25,7 +25,7 @@ from .arcs_fourier import ArcSpec, TorusPoint, arc_list, classify
 from .energy import FreqSet, additive_energy, newbm_check
 from .errors import PolyParseError
 from .expsum import cancellation_scan, fitted_C, main_term_check
-from .hfree import HFreeInstance, greedy_h_free, is_h_free, max_h_free_exact
+from .hfree import HFreeInstance, greedy_guard, greedy_h_free, is_h_free, max_h_free_exact
 from .increment import run_iteration
 from .intersective import AuxFamily, IntersectiveUpTo, NotIntersective, check_intersective
 from .intpoly import IntPoly
@@ -366,6 +366,7 @@ def _cmd_arcs(args) -> Report:
 
 def _cmd_maxset(args) -> Report:
     h = parse_poly(args.poly)
+    greedy_guard(args.N)  # both modes scan greedily; refuse before building
     inst = HFreeInstance.build(h, args.N)
     if args.exact:
         size, witness = max_h_free_exact(inst, limit=args.limit)
@@ -377,6 +378,7 @@ def _cmd_maxset(args) -> Report:
 
 
 def _build_set(spec: str, h: IntPoly, N: int) -> list[int]:
+    greedy_guard(N)  # either spec lists [1, N]
     if spec == "greedy":
         return greedy_h_free(HFreeInstance.build(h, N))
     m = re.fullmatch(r"mod:(\d+):(\d+)", spec)

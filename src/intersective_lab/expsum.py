@@ -250,16 +250,6 @@ def fitted_C(rows: list[ScanRow]) -> float:
     return max(vals) if vals else 0.0
 
 
-def dirichlet_threshold_Z(N: int) -> float:
-    """Z = exp((log log N)^3), the rational-approximation quality threshold
-    separating the close-approximation and generic regimes in minor-arc
-    analysis.  A scan diagnostic knob only; nothing in the library gates on
-    it at desk scale."""
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    return math.exp(math.log(math.log(N)) ** 3)
-
-
 @dataclass(frozen=True)
 class MainTermResult:
     direct: complex

@@ -20,6 +20,12 @@ EXACT_LIMIT = 60
 GREEDY_GUARD = 10**6  # N: the positions one greedy scan visits
 
 
+def greedy_guard(N: int) -> None:
+    """TooLarge when a greedy scan of [1, N] would pass GREEDY_GUARD."""
+    if N > GREEDY_GUARD:
+        raise TooLarge(f"N={N} exceeds the greedy scan's GREEDY_GUARD of {GREEDY_GUARD}")
+
+
 def _root_bound(p: IntPoly) -> int:
     """Cauchy bound: all real roots of p have |x| <= 1 + max|c_i| / |lead|."""
     if p.degree() < 1:
@@ -101,8 +107,7 @@ def greedy_h_free(inst: HFreeInstance) -> list[int]:
     scan reads one flag per n.
     """
     N = inst.N
-    if N > GREEDY_GUARD:
-        raise TooLarge(f"N={N} exceeds the greedy scan's GREEDY_GUARD of {GREEDY_GUARD}")
+    greedy_guard(N)
     forb = np.array(inst.forbidden, dtype=np.int64)
     blocked = np.zeros(N + 1 + int(forb.max(initial=0)), dtype=bool)
     out = []

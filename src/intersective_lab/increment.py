@@ -17,14 +17,17 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .arcs_fourier import TorusPoint, fft_grid_size
+from .arcs_fourier import fft_grid_size
 from .errors import InvariantViolation, SetOutOfRange, TooLarge
 from .hfree import HFreeInstance, is_h_free
 from .intersective import AuxFamily
 from .numutil import factorize
 
 GRID_GUARD = 1 << 23  # FFT grid points G of one arc survey
-ENTRY_GUARD = 300_000  # arcs of the winning bucket, each built as a GammaEntry
+PEAK_POINTS = 64  # grid nodes per arc over which its |1_A-hat| peak is taken
+ENTRY_DTYPE = np.dtype(
+    [("a", np.int64), ("q", np.int64), ("peak", np.float64), ("mass", np.float64)]
+)
 
 
 @dataclass
@@ -39,28 +42,22 @@ class IncrementState:
     q_used: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class GammaEntry:
-    a: int
-    q: int
-    gamma: TorusPoint
-    peak: float
-    mass: float
+def _entries(a, q, peak, mass) -> np.recarray:
+    """Arc columns a, q, peak, mass as one record array (ENTRY_DTYPE)."""
+    return np.rec.fromarrays([a, q, peak, mass], dtype=ENTRY_DTYPE)
 
 
 @dataclass(frozen=True)
 class GammaSelection:
     """Winning dyadic bucket: entries have q in [Q, 2Q) and sqrt(mass) in
-    [sigma sqrt(N)/B, 2 sigma sqrt(N)/B)."""
+    [sigma sqrt(N)/B, 2 sigma sqrt(N)/B), one record per arc a/q in
+    ascending (q, a) order."""
 
     B: float
     Q: float
-    entries: tuple[GammaEntry, ...]
+    entries: np.recarray
     sigma: Fraction
     size_A: int
-    N: int
-    kappa: float
-    lower_bound_diag: float
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,6 @@ def select_gamma(
     d: int,
     kappa: float = 1.0,
     oversample: int = 32,
-    peak_points: int = 64,
     q_cap: int = 4096,
 ) -> GammaSelection:
     """Arc survey: peaks of |1_A-hat| and arc masses of |g-hat|^2.
@@ -171,12 +167,13 @@ def select_gamma(
     Arcs M_{a,q}(N, kappa/sigma) for q <= kappa/sigma^(k+1) (clamped at
     q_cap; sparse sets make the nominal range astronomically large).  Both
     transforms are evaluated on one power-of-two FFT grid with spacing
-    <= 1/(oversample N); each arc takes its peak over peak_points grid nodes
-    and its mass by trapezoid over all in-arc nodes (an arc wider than the
-    circle wraps around it).  Arcs below the sigma^(3k+5) N / log N mass
-    threshold are dropped, survivors are bucketed dyadically in sqrt(mass)
-    and q, and the bucket with the largest q^(-1/2) peak sqrt(mass) total
-    wins; ties go to the smaller sqrt(mass) exponent, then the smaller q.
+    <= 1/(oversample N); each arc takes its mass by trapezoid over all
+    in-arc nodes (an arc wider than the circle wraps around it).  Arcs below
+    the sigma^(3k+5) N / log N mass threshold are dropped, and each survivor
+    takes its peak over PEAK_POINTS grid nodes.  Survivors are bucketed
+    dyadically in sqrt(mass) and q, and the bucket with the largest
+    q^(-1/2) peak sqrt(mass) total wins; ties go to the smaller sqrt(mass)
+    exponent, then the smaller q.
     """
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
@@ -188,7 +185,7 @@ def select_gamma(
     if size == 0 or sigma == 1:
         # g = 1_A - sigma 1_[N] vanishes for A = [1, N] (the only choice at
         # N = 1, where the log N threshold is undefined): no arc has mass
-        return GammaSelection(0.0, 0.0, (), sigma, size, N, kappa, 0.0)
+        return GammaSelection(0.0, 0.0, _entries([], [], [], []), sigma, size)
     sf = float(sigma)
     k = fam.k
     K = kappa / sf
@@ -232,67 +229,43 @@ def select_gamma(
     ends = magg2[j_lo] + magg2[(j_lo + count - 1) & wrap]
     mass_arr = (win_sum - 0.5 * ends) / G
 
-    frac = np.linspace(0.0, 1.0, peak_points)
-    n_arcs = a_arr.size
-    peak_arr = np.empty(n_arcs, dtype=np.float64)
-    arg_rel = np.empty(n_arcs, dtype=np.int64)
-    chunk = max(1, (1 << 21) // peak_points)
-    for lo in range(0, n_arcs, chunk):
-        sl = slice(lo, min(lo + chunk, n_arcs))
-        rel = np.round(frac[None, :] * (count[sl, None] - 1)).astype(np.int64)
-        mat = magA[(j_lo[sl, None] + rel) & wrap]
-        best = np.argmax(mat, axis=1)
-        peak_arr[sl] = mat[np.arange(mat.shape[0]), best]
-        arg_rel[sl] = rel[np.arange(mat.shape[0]), best]
-
     keep = np.flatnonzero(ok & (mass_arr > threshold) & (mass_arr > 0.0))
     if keep.size == 0:
-        return GammaSelection(0.0, 0.0, (), sigma, size, N, kappa, 0.0)
+        return GammaSelection(0.0, 0.0, _entries([], [], [], []), sigma, size)
+    frac = np.linspace(0.0, 1.0, PEAK_POINTS)
+    peak = np.empty(keep.size, dtype=np.float64)
+    chunk = (1 << 21) // PEAK_POINTS
+    for lo in range(0, keep.size, chunk):
+        arcs = keep[lo : lo + chunk]
+        rel = np.round(frac[None, :] * (count[arcs, None] - 1)).astype(np.int64)
+        peak[lo : lo + arcs.size] = magA[(j_lo[arcs, None] + rel) & wrap].max(axis=1)
     mass = mass_arr[keep]
     q_keep = q_arr[keep]
     bexp = np.ceil(np.log2(sf * math.sqrt(N) / np.sqrt(mass))).astype(np.int64)
     qexp = np.frexp(q_keep.astype(np.float64))[1] - 1  # floor(log2 q), exact
     # partial sum of q^(-1/2) * peak * sqrt(mass): each bucket's
     # contribution to the Cauchy-Schwarz'd arc inequality
-    score = peak_arr[keep] * np.sqrt(mass / q_keep)
+    score = peak * np.sqrt(mass / q_keep)
     b_min, n_q = int(bexp.min()), int(qexp.max()) + 1
     code = (bexp - b_min) * n_q + qexp  # ascending in (bexp, qexp)
     totals = np.bincount(code, weights=score)
     totals[np.bincount(code) == 0] = -np.inf
     win = int(np.argmax(totals))  # first maximum: smallest bexp, then qexp
-    chosen = keep[code == win]  # ascending index = ascending (q, a)
-    if chosen.size > ENTRY_GUARD:
-        raise TooLarge(
-            f"winning bucket holds {chosen.size} arcs, more than the ENTRY_GUARD of {ENTRY_GUARD}"
-        )
-    entries = tuple(
-        GammaEntry(a, q, TorusPoint.rational(a, q, (j + r) / G - a / q), peak, m)
-        for a, q, j, r, peak, m in zip(
-            a_arr[chosen].tolist(),
-            q_arr[chosen].tolist(),
-            j_lo[chosen].tolist(),
-            arg_rel[chosen].tolist(),
-            peak_arr[chosen].tolist(),
-            mass_arr[chosen].tolist(),
-        )
-    )
-    B, Q = 2.0 ** (win // n_q + b_min), 2.0 ** (win % n_q)
-    diag = B * size * math.sqrt(Q) / ((math.log(N) ** 0.25) * max(math.log(1 / sf), 1e-9) ** 2)
-    return GammaSelection(B, Q, entries, sigma, size, N, kappa, diag)
+    chosen = np.flatnonzero(code == win)  # ascending index = ascending (q, a)
+    entries = _entries(a_arr[keep[chosen]], q_keep[chosen], peak[chosen], mass[chosen])
+    return GammaSelection(2.0 ** (win // n_q + b_min), 2.0 ** (win % n_q), entries, sigma, size)
 
 
 def cor0_dichotomy(sel: GammaSelection, nu: float) -> Dichotomy:
     """Increment(q) when some fiber {a : (a,q) in Gamma} exceeds nu B^2,
     else SmallFibers(max fiber size)."""
-    fibers: dict[int, int] = {}
-    for e in sel.entries:
-        fibers[e.q] = fibers.get(e.q, 0) + 1
-    if not fibers:
+    fibers = np.bincount(sel.entries.q)
+    if fibers.size == 0:
         return SmallFibers(0)
-    max_fiber = max(fibers.values())
+    q = int(np.argmax(fibers))  # first maximum: the smallest q
+    max_fiber = int(fibers[q])
     if max_fiber <= nu * sel.B**2:
         return SmallFibers(max_fiber)
-    q = min(q for q, c in fibers.items() if c == max_fiber)
     return Increment(q)
 
 
@@ -303,9 +276,12 @@ def measured_nu(sel: GammaSelection) -> float:
     this puts nu B^2 in [1, 4), so the dichotomy asks whether some
     denominator carries more than O(1) large arcs.
     """
-    if not sel.entries or sel.size_A == 0:
+    n = len(sel.entries)
+    if n == 0 or sel.size_A == 0:
         return 0.0
-    mean = sum(e.mass for e in sel.entries) / len(sel.entries)
+    # left to right as a Python sum: a pairwise numpy mean can round
+    # differently and flip a nu comparison
+    mean = sum(sel.entries.mass.tolist()) / n
     return min(0.999, mean / (float(sel.sigma) * sel.size_A))
 
 
@@ -351,7 +327,7 @@ def run_iteration(
         if cur.N < math.isqrt(N0) or not cur.A:
             break
         sel = select_gamma(cur.A, cur.N, fam, cur.d, kappa=kappa, oversample=oversample)
-        if not sel.entries:
+        if len(sel.entries) == 0:
             break
         nu = (
             formula_nu(cur.N, float(cur.sigma), nu_c)

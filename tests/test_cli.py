@@ -272,6 +272,9 @@ def test_energy_work_guard_is_quick(tmp_path, capsys, flags, bound):
         (["sieve", "--poly", "x^2", "--Y", "inf", "--X", "100"], "PRIME_GUARD"),
         (["expsum-scan", "--poly", "x^3", "--q-max", "10", "--Y", "inf"], "PRIME_GUARD"),
         (["sieve", "--poly", "x^2", "--Y", "10", "--X", "1000000000000", "--method", "loop"], "LOOP_GUARD"),
+        # h = x: building the forbidden differences alone would visit [1, N]
+        (["maxset", "--poly", "x", "--N", "3000000"], "GREEDY_GUARD"),
+        (["increment", "--poly", "x^2", "--N", "100000000", "--set", "mod:5:1"], "GREEDY_GUARD"),
     ],
 )
 def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):

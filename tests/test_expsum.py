@@ -208,14 +208,6 @@ def test_main_term_not_coprime():
         main_term_check(fam, 1, 2, 4, 3, 10**4)
 
 
-def test_dirichlet_threshold_diagnostic():
-    from intersective_lab.expsum import dirichlet_threshold_Z
-
-    z = dirichlet_threshold_Z(10**6)
-    assert math.isclose(math.log(z), math.log(math.log(10**6)) ** 3)
-    assert dirichlet_threshold_Z(10**7) > z
-
-
 def literal_phase_sum(spec):
     """The per-m definition: membership by in_W, exact g(m), one term at a time."""
     prof = profile_for(spec.g, spec.Y)

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intersective_lab import increment
-from intersective_lab.arcs_fourier import TorusPoint, arc_l2_mass, fft_grid_size
+from intersective_lab.arcs_fourier import arc_l2_mass, fft_grid_size
 from intersective_lab.hfree import HFreeInstance, greedy_h_free, is_h_free
 from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.increment import (
+    _entries,
     _magnitude_grid,
-    GammaEntry,
     GammaSelection,
     Increment,
     SmallFibers,
@@ -99,40 +100,83 @@ def test_find_increment_offset_consistency(fam_x2):
     assert expected == len(res.A_star)
 
 
-def _entry(a, q, mass=1.0, peak=1.0):
-    return GammaEntry(a, q, TorusPoint.rational(a, q), peak, mass)
+def _selection(arcs, B, size_A=10):
+    """Selection of B over arcs (a, q) or (a, q, mass), peaks 1.0."""
+    a = [arc[0] for arc in arcs]
+    q = [arc[1] for arc in arcs]
+    mass = [arc[2] if len(arc) > 2 else 1.0 for arc in arcs]
+    return GammaSelection(B, 1.0, _entries(a, q, [1.0] * len(a), mass), Fraction(1, 2), size_A)
 
 
-def _selection(entries, B):
-    return GammaSelection(
-        B, 1.0, tuple(entries), Fraction(1, 2), 10, 100, 1.0, 0.0
-    )
+def dichotomy_by_dict(sel, nu):
+    """cor0_dichotomy as a dict count over the records."""
+    fibers = {}
+    for e in sel.entries:
+        fibers[e.q] = fibers.get(e.q, 0) + 1
+    if not fibers:
+        return SmallFibers(0)
+    max_fiber = max(fibers.values())
+    if max_fiber <= nu * sel.B**2:
+        return SmallFibers(max_fiber)
+    q = min(q for q, c in fibers.items() if c == max_fiber)
+    return Increment(q)
+
+
+def nu_by_python_sum(sel):
+    """measured_nu as a Python sum over the records."""
+    if not len(sel.entries) or sel.size_A == 0:
+        return 0.0
+    mean = sum(float(e.mass) for e in sel.entries) / len(sel.entries)
+    return min(0.999, mean / (float(sel.sigma) * sel.size_A))
 
 
 def test_dichotomy_examples():
     assert cor0_dichotomy(_selection([], 1.0), 0.5) == SmallFibers(0)
-    sel = _selection([_entry(a, 5) for a in (1, 2, 3, 4)], B=2.0)
+    sel = _selection([(a, 5) for a in (1, 2, 3, 4)], B=2.0)
     # nu B^2 = 2 < 4 entries at q=5
     assert cor0_dichotomy(sel, 0.5) == Increment(5)
-    spread = _selection([_entry(1, q) for q in (3, 4, 5)], B=1.0)
+    spread = _selection([(1, q) for q in (3, 4, 5)], B=1.0)
     assert cor0_dichotomy(spread, 1.0) == SmallFibers(1)
 
 
 def test_dichotomy_smallest_q_tie():
-    sel = _selection([_entry(1, 7), _entry(2, 7), _entry(1, 5), _entry(2, 5)], B=1.0)
+    sel = _selection([(1, 7), (2, 7), (1, 5), (2, 5)], B=1.0)
     assert cor0_dichotomy(sel, 0.5) == Increment(5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arcs=st.lists(
+        st.tuples(
+            st.integers(1, 63),
+            st.integers(1, 64),
+            st.floats(0.0, 1e6, allow_nan=False) | st.sampled_from([0.1, 0.2, 0.3]),
+        ),
+        max_size=40,
+    ),
+    tie=st.integers(0, 3),
+    B=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+    nu=st.floats(0.0, 0.999),
+    size_A=st.integers(0, 50),
+)
+def test_columnar_dichotomy_and_nu_match_oracles(arcs, tie, B, nu, size_A):
+    # append `tie` arcs at each of two denominators so fibers tie
+    arcs = arcs + [(a, 60, 1.0) for a in range(tie)] + [(a, 7, 1.0) for a in range(tie)]
+    sel = _selection(sorted(arcs, key=lambda arc: arc[1::-1]), B, size_A)
+    assert cor0_dichotomy(sel, nu) == dichotomy_by_dict(sel, nu)
+    assert measured_nu(sel) == nu_by_python_sum(sel)
 
 
 def test_select_gamma_full_interval_empty(fam_x2):
     sel = select_gamma(range(1, 1001), 1000, fam_x2, 1, kappa=1.0)
-    assert sel.entries == ()
+    assert len(sel.entries) == 0
 
 
 def test_select_gamma_progression_spikes(fam_x2):
     # spec example: A = {n = 1 mod 5} at N = 1e4 concentrates Gamma at q = 5
     A = [n for n in range(1, 10001) if n % 5 == 1]
     sel = select_gamma(A, 10000, fam_x2, 1, kappa=1.0)
-    assert sel.entries
+    assert len(sel.entries)
     assert {e.q for e in sel.entries} == {5}
     assert sorted(e.a for e in sel.entries) == [1, 2, 3, 4]
     # peaks at the exact spikes are essentially |A|
@@ -144,7 +188,7 @@ def test_select_gamma_bucket_invariants(fam_x2):
     rng = random.Random(25)
     A = sorted(rng.sample(range(1, 2001), 500))
     sel = select_gamma(A, 2000, fam_x2, 1, kappa=1.0)
-    if not sel.entries:
+    if not len(sel.entries):
         pytest.skip("selection empty for this draw")
     sf = float(sel.sigma)
     for e in sel.entries:
@@ -184,15 +228,22 @@ SELECT_PINS = [
 ]
 
 
+def _arcs(sel):
+    return list(zip(sel.entries.a.tolist(), sel.entries.q.tolist()))
+
+
+def _digest(arcs):
+    return len(arcs), hashlib.sha256(repr(arcs).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("h, N, kappa, B, Q, expected", SELECT_PINS)
 def test_select_gamma_pinned(h, N, kappa, B, Q, expected):
     A = greedy_h_free(HFreeInstance.build(h, N))
     sel = select_gamma(A, N, AuxFamily(h, bound=100), 1, kappa=kappa)
-    got = [(e.a, e.q) for e in sel.entries]
+    got = _arcs(sel)
     assert (sel.B, sel.Q) == (B, Q)
     if isinstance(expected, tuple):
-        digest = hashlib.sha256(repr(got).encode()).hexdigest()[:16]
-        assert (len(got), digest) == expected
+        assert _digest(got) == expected
     else:
         assert got == expected
 
@@ -200,9 +251,9 @@ def test_select_gamma_pinned(h, N, kappa, B, Q, expected):
 def test_select_gamma_tiny_N(fam_x2):
     # N = 1: A = [1, 1] and g = 0.  N = 2, A = {1}: K/N = 1, so each arc
     # wraps the circle twice, and the quadrature oracle agrees on its mass
-    assert select_gamma([1], 1, fam_x2, 1).entries == ()
+    assert len(select_gamma([1], 1, fam_x2, 1).entries) == 0
     sel = select_gamma([1], 2, fam_x2, 1, kappa=1.0)
-    assert sel.entries
+    assert len(sel.entries)
     for e in sel.entries:
         assert e.mass == pytest.approx(arc_l2_mass([1], 2, e.a, e.q, 2.0), rel=0.02)
 
@@ -224,7 +275,7 @@ def test_select_gamma_arcs_wider_than_circle(fam_x2):
     # one more turn; no grid that long is built
     A = greedy_h_free(HFreeInstance.build(X2, 100))
     sel = select_gamma(A, 100, fam_x2, 1, kappa=1e5, q_cap=16)
-    assert sel.entries
+    assert len(sel.entries)
     turns = 2 * 1e5 / (len(A) / 100) / 100
     total = len(A) * (1 - len(A) / 100)
     for e in sel.entries:
@@ -297,14 +348,15 @@ def test_run_iteration_nu_formula_mode(fam_x2):
     assert t <= math.log(1 / sigma) / math.log(1 + nu / 73)
 
 
-def test_survey_guards(fam_x2, monkeypatch):
-    # the N = 1e5 survey uses a 2^22-point grid and keeps 132,812 arcs
+def test_survey_guards(fam_x2):
+    # the N = 1e5 survey uses a 2^22-point grid
     assert increment.GRID_GUARD >= fft_grid_size(10**5, 32)
-    assert increment.ENTRY_GUARD > 132_812
     with pytest.raises(TooLarge, match="GRID_GUARD"):
         select_gamma([1], 30_000_000, fam_x2, 1)
-    A = greedy_h_free(HFreeInstance.build(X2, 2000))
-    assert len(select_gamma(A, 2000, fam_x2, 1, q_cap=64).entries) > 1
-    monkeypatch.setattr(increment, "ENTRY_GUARD", 1)
-    with pytest.raises(TooLarge, match="ENTRY_GUARD"):
-        select_gamma(A, 2000, fam_x2, 1, q_cap=64)
+    # the winning bucket has no guard: at kappa = 1e5 every arc wraps the
+    # circle, and a bucket of 238,856 arcs is returned as recorded before
+    # the entries became columns (as in SELECT_PINS)
+    A = greedy_h_free(HFreeInstance.build(X2, 100))
+    sel = select_gamma(A, 100, fam_x2, 1, kappa=1e5, q_cap=1024)
+    assert (sel.B, sel.Q) == (2.0**-7, 512.0)
+    assert _digest(_arcs(sel)) == (238_856, "2c998168de8178fa")
