@@ -384,6 +384,8 @@ def _build_set(spec: str, h: IntPoly, N: int) -> list[int]:
     m = re.fullmatch(r"mod:(\d+):(\d+)", spec)
     if m:
         mod, r = int(m.group(1)), int(m.group(2))
+        if mod < 1:
+            raise ValueError(f"set spec {spec!r} needs a modulus M >= 1")
         return [n for n in range(1, N + 1) if n % mod == r % mod]
     raise ValueError(f"unknown set spec {spec!r} (use 'greedy' or 'mod:M:R')")
 

@@ -26,14 +26,6 @@ def greedy_guard(N: int) -> None:
         raise TooLarge(f"N={N} exceeds the greedy scan's GREEDY_GUARD of {GREEDY_GUARD}")
 
 
-def _root_bound(p: IntPoly) -> int:
-    """Cauchy bound: all real roots of p have |x| <= 1 + max|c_i| / |lead|."""
-    if p.degree() < 1:
-        return 0
-    lead = abs(p.coeffs[-1])
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) // lead + 1
-
-
 @dataclass(frozen=True)
 class HFreeInstance:
     """h, the ambient N, and the forbidden differences h(N) cap [1, N-1].
@@ -57,7 +49,7 @@ class HFreeInstance:
                 witness[v] = 1
         else:
             lead_pos = h.leading() > 0
-            guard = _root_bound(h.derivative())
+            guard = h.derivative().root_bound()
             n = 1
             while True:
                 v = h.evaluate(n)

@@ -229,6 +229,13 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 # Root enumeration modulo prime powers
 # ----------------------------------------------------------------------
 
+def _lift_guard(roots: int, p: int, j: int) -> None:
+    if roots * p > LIFT_GUARD:
+        raise TooLarge(
+            f"{roots} roots mod {p}^{j} give more lift candidates than the LIFT_GUARD of {LIFT_GUARD}"
+        )
+
+
 def _lift_level(g: IntPoly, p: int, roots: list[int], j: int) -> list[int]:
     """Roots of g mod p^j from the roots mod p^(j-1), in the order of the
     candidates r + t p^(j-1), r in roots, t in [0, p).
@@ -238,11 +245,7 @@ def _lift_level(g: IntPoly, p: int, roots: list[int], j: int) -> list[int]:
     g'(r) mod p decide all p candidates of a root: one t when p does not
     divide g'(r), else every t or none as p^j divides g(r) or not.
     """
-    if len(roots) * p > LIFT_GUARD:
-        raise TooLarge(
-            f"{len(roots)} roots mod {p}^{j - 1} give more lift candidates "
-            f"than the LIFT_GUARD of {LIFT_GUARD}"
-        )
+    _lift_guard(len(roots), p, j - 1)
     pj1 = p ** (j - 1)
     r = np.array(roots, dtype=object)
     quot = (values_mod(g.coeffs, r, pj1 * p) // pj1).tolist()
@@ -254,16 +257,6 @@ def _lift_level(g: IntPoly, p: int, roots: list[int], j: int) -> list[int]:
         elif c == 0:
             out.extend(root + t * pj1 for t in range(p))
     return out
-
-
-def _all_roots_mod(g: IntPoly, p: int, e: int) -> list[int]:
-    """Every residue r in [0, p^e) with g(r) = 0 (mod p^e), by branch lifting."""
-    roots = roots_mod(g.coeffs, p)
-    for j in range(2, e + 1):
-        if not roots:
-            return []
-        roots = _lift_level(g, p, roots, j)
-    return sorted(roots)
 
 
 def hensel_roots(h: IntPoly, p: int, prec: int) -> list[PAdicRootData]:
@@ -285,9 +278,13 @@ def hensel_roots(h: IntPoly, p: int, prec: int) -> list[PAdicRootData]:
     for f in _squarefree_decomposition(h.coeffs):
         if f.disc == 0:
             raise LiftAmbiguous(f"squarefree factor with zero discriminant: {f.g}")
-        V = padic_valuation(f.disc, p) if f.disc % p == 0 else 0
+        V = padic_valuation(f.disc, p)
         E = max(prec + V, 2 * V + 1)
-        roots = _all_roots_mod(f.g, p, E)
+        roots = roots_mod(f.g.coeffs, p)
+        for j in range(2, E + 1):
+            if not roots:
+                break
+            roots = _lift_level(f.g, p, roots, j)
         # with V = 0, g and g' share no root mod p, so v_p(g'(r)) = 0 for all r
         if V:
             vals = values_mod(f.dg.coeffs, np.array(roots, dtype=object), p**E)
@@ -307,24 +304,33 @@ def hensel_roots(h: IntPoly, p: int, prec: int) -> list[PAdicRootData]:
 
 
 def _first_power_without_root(h: IntPoly, p: int) -> int:
-    """Smallest p^j such that h has no root mod p^j.
+    """Smallest p^j such that h has no root mod p^j, for h with no Z_p root.
 
-    Only called when h has no Z_p root, which bounds the depth of the root
-    tree; the cap below is a defensive multiple of that bound.
+    h = +-c * prod g_i^m_i over its squarefree factors, c the content (the
+    g_i are primitive, so is their product), so
+    v_p(h(x)) = v_p(c) + sum m_i v_p(g_i(x)) and the answer is
+    p^(1 + max v_p(h(x))).  The walk lifts the union of the root trees of
+    the g_i: a residue x mod p^t at which no g_i vanishes mod p^t has every
+    v_p(g_i(x)) < t, so its score v_p(h(x)) holds for every lift of x and it
+    is a leaf.  No residue of the tree of g_i survives to p^(2V_i + 1),
+    V_i = v_p(Res(g_i, g_i')): strong Hensel would lift it to a Z_p root.
     """
-    discs = [f.disc for f in _squarefree_decomposition(h.coeffs)]
-    vmax = max((padic_valuation(d, p) for d in discs if d % p == 0), default=0)
-    k = max(1, h.degree())
-    cont_all = math.gcd(*[abs(c) for c in h.coeffs])
-    cap = k * k * (2 * vmax + 1) + (padic_valuation(cont_all, p) if cont_all % p == 0 else 0) + 8
-    roots = roots_mod(h.coeffs, p)
-    j = 1
-    while roots:
-        j += 1
-        if j > cap:
-            raise LiftAmbiguous(f"root tree for p={p} deeper than cap {cap}")
-        roots = _lift_level(h, p, roots, j)
-    return p**j
+    factors = _squarefree_decomposition(h.coeffs)
+    base = padic_valuation(math.gcd(*h.coeffs), p)
+    best, nodes, t = 0, np.zeros(1, dtype=object), 0
+    while len(nodes):
+        _lift_guard(len(nodes), p, t)
+        cands = (nodes[:, None] + np.arange(p, dtype=object) * p**t).ravel()
+        t += 1
+        vals = [values_mod(f.g.coeffs, cands, p**t) for f in factors]
+        leaf = np.all([v != 0 for v in vals], axis=0)
+        if leaf.any():
+            score = base + sum(
+                f.mult * (v[leaf] % p**k == 0) for f, v in zip(factors, vals) for k in range(1, t)
+            )
+            best = max(best, int(np.max(score)))
+        nodes = cands[~leaf]
+    return p ** (best + 1)
 
 
 def _integer_root(h: IntPoly) -> int | None:
@@ -343,7 +349,7 @@ def _integer_root(h: IntPoly) -> int | None:
     if h.evaluate(0) == 0:
         return 0
     a0 = abs(h.coeffs[0])
-    bound = 2 + max(abs(c) for c in h.coeffs[:-1]) // abs(h.leading())
+    bound = h.root_bound()
     R = _singular_product(h)
     # the primes up to x multiply to at least 2^(x/2), so R >= 1 misses one
     # of those up to 2 log2(R) + 3
@@ -395,56 +401,38 @@ def check_intersective(h: IntPoly, B: int) -> IntersectivityVerdict:
     if n0 is not None:
         return IntersectiveUpTo(None, {}, integer_root=n0)
     roots: dict[int, PAdicRootData] = {}
-    best_witness: int | None = None
+    best_witness = math.inf
     R = _singular_product(h)
     primes = primes_up_to(B)
     for chunk in ([p for p in primes if p <= SMALL_PRIMES], [p for p in primes if p > SMALL_PRIMES]):
-        if best_witness is not None:
-            chunk = [p for p in chunk if p <= best_witness]
-        simple = _precision_one_roots(h, [p for p in chunk if R % p])
+        chunk = [p for p in chunk if p <= best_witness]
+        batch = _precision_one_roots(h, [p for p in chunk if R % p])
         for p in chunk:
-            if best_witness is not None and p > best_witness:
+            if p > best_witness:
                 break
-            if p in simple:
-                chosen, w = simple[p], p
-            else:
-                prec = default_precision(h, p)
-                cands = hensel_roots(h, p, prec)
-                chosen = _select_root(cands, p, prec) if cands else None
-                w = None if cands else _first_power_without_root(h, p)
-            if chosen is None:
-                if best_witness is None or w < best_witness:
-                    best_witness = w
-            else:
+            chosen = _chosen_root(h, p, batch=batch)
+            if chosen is not None:
                 roots[p] = chosen
-    if best_witness is not None:
+            else:
+                best_witness = min(best_witness, _first_power_without_root(h, p))
+    if best_witness < math.inf:
         return NotIntersective(best_witness)
     return IntersectiveUpTo(B, roots)
 
 
-def _precision_one_roots(h: IntPoly, primes: list[int]) -> dict[int, PAdicRootData | None]:
-    """The default choice among hensel_roots(h, p, 1) for primes p dividing
-    neither a_k nor any Res(g_i, g_i'), or None when h has no root mod p.
+def _precision_one_roots(h: IntPoly, primes: list[int]) -> dict[int, list[PAdicRootData]]:
+    """hensel_roots(h, p, 1) for primes p dividing neither a_k nor any Res(g_i, g_i').
 
-    There hensel_roots(h, p, 1) holds the roots mod p of every squarefree
-    factor g_i, each with multiplicity i, so the choice (largest
-    multiplicity, then least residue) needs only one roots_mod_primes batch
-    per factor.
+    There every root mod p of a squarefree factor g_i is simple, so the list
+    holds the roots mod p of the g_i, each with the largest multiplicity i
+    among the factors it is a root of: one roots_mod_primes batch per factor.
+    Yun's factors come in increasing multiplicity, so a later one overwrites.
     """
-    key: dict[int, tuple[int, int]] = {}
+    found: dict[int, dict[int, int]] = {p: {} for p in primes}
     for f in _squarefree_decomposition(h.coeffs):
-        for p, found in zip(primes, roots_mod_primes(f.g.coeffs, primes)):
-            if found and (p not in key or (-f.mult, found[0]) < key[p]):
-                key[p] = (-f.mult, found[0])
-    return {p: PAdicRootData(p, key[p][1], 1, -key[p][0]) if p in key else None for p in primes}
-
-
-def _digits(n: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        n, d = divmod(n, p)
-        out.append(d)
-    return tuple(out)
+        for p, rs in zip(primes, roots_mod_primes(f.g.coeffs, primes)):
+            found[p].update(dict.fromkeys(rs, f.mult))
+    return {p: [PAdicRootData(p, r, 1, m) for r, m in sorted(rm.items())] for p, rm in found.items()}
 
 
 def _select_root(cands: list[PAdicRootData], p: int, prec: int) -> PAdicRootData:
@@ -455,7 +443,18 @@ def _select_root(cands: list[PAdicRootData], p: int, prec: int) -> PAdicRootData
     deeper digits pin down one fixed element of Z_p so that choices at
     different precisions are truncations of the same root.
     """
-    return min(cands, key=lambda rd: (-rd.multiplicity, _digits(rd.residue, p, prec)))
+    return min(cands, key=lambda rd: (-rd.multiplicity, [rd.residue // p**i % p for i in range(prec)]))
+
+
+def _chosen_root(h: IntPoly, p: int, min_prec=1, selector=_select_root, batch=None) -> PAdicRootData | None:
+    """The selector's pick among hensel_roots(h, p, prec), prec = max(min_prec, e_p),
+    or None when h has no Z_p root.  `batch` may hold those lists for prec 1
+    (from _precision_one_roots).
+    """
+    prec = max(min_prec, default_precision(h, p))
+    cands = batch.get(p) if batch and prec == 1 else None
+    cands = hensel_roots(h, p, prec) if cands is None else cands
+    return selector(cands, p, prec) if cands else None
 
 
 # ----------------------------------------------------------------------
@@ -504,11 +503,9 @@ class AuxFamily:
         cur = self._roots.get(p)
         if cur is not None and cur.prec >= min_prec:
             return cur
-        prec = max(min_prec, default_precision(self.h, p))
-        cands = hensel_roots(self.h, p, prec)
-        if not cands:
+        chosen = _chosen_root(self.h, p, min_prec, self._selector)
+        if chosen is None:
             raise NotIntersectiveError(f"{self.h!r} has no {p}-adic root; not intersective")
-        chosen = self._selector(cands, p, prec)
         self._roots[p] = chosen
         return chosen
 

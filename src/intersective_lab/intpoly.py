@@ -51,6 +51,12 @@ class IntPoly:
 
     __call__ = evaluate
 
+    def root_bound(self) -> int:
+        """Cauchy bound: every complex root x has |x| < 2 + max|a_i| // |a_k| (0 if constant)."""
+        if self.degree() < 1:
+            return 0
+        return 2 + max(abs(c) for c in self.coeffs[:-1]) // abs(self.coeffs[-1])
+
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 

@@ -23,40 +23,37 @@ import numpy as np
 
 from .errors import TooLarge, ZeroDerivative
 from .intpoly import IntPoly
-from .numutil import primes_up_to, roots_mod, roots_mod_primes
+from .numutil import padic_valuation, primes_up_to, roots_mod, roots_mod_primes
 
 WHEEL_CAP = 10**8
 MARK_GUARD = 10**8  # X: the flags [0, X] of one mark segment
 LOOP_GUARD = 10**8  # X times the number of primes: the membership tests of method loop
 
 
-def _vanishes_identically(f: IntPoly, m: int) -> bool:
-    """Does f(n) = 0 (mod m) for every integer n?
+def fixed_divisor(f: IntPoly) -> int:
+    """The largest m with f(n) = 0 (mod m) for every integer n (0 when f = 0).
 
-    Exact via Newton's forward differences: f vanishes on Z mod m iff
-    m | Delta^i f(0) for i = 0..deg f.  (Coefficient vanishing would be
-    wrong: x^p - x kills every residue mod p with nonzero coefficients.)
+    f(n) = sum_{i <= deg f} C(n, i) Delta^i f(0), so m | f(n) for all n iff
+    m divides every Delta^i f(0).  (Not the coefficients: x^p - x vanishes mod p.)
     """
-    vals = [f.evaluate(i) % m for i in range(f.degree() + 1)]
-    for _ in range(len(vals)):
-        if vals[0] % m:
-            return False
-        vals = [(b - a) % m for a, b in zip(vals, vals[1:])]
-    return True
+    vals = [f.evaluate(i) for i in range(f.degree() + 1)]
+    D = 0
+    while vals:
+        D = math.gcd(D, vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return D
+
+
+def _gamma(D: int, p: int) -> int:
+    """gamma(g; p) = v_p(D) + 1 from the fixed divisor D of g'."""
+    if D == 0:
+        raise ZeroDerivative("g is constant")
+    return padic_valuation(D, p) + 1 if D % p == 0 else 1
 
 
 def gamma_exponent(g: IntPoly, p: int) -> int:
     """Least gamma >= 1 with g' not identically zero mod p^gamma."""
-    dg = g.derivative()
-    if dg.is_zero():
-        raise ZeroDerivative("g is constant")
-    # a polynomial of degree below p that is nonzero mod p has fewer than p roots
-    if p > dg.degree() and math.gcd(*dg.coeffs) % p:
-        return 1
-    gamma = 1
-    while _vanishes_identically(dg, p**gamma):
-        gamma += 1
-    return gamma
+    return _gamma(fixed_divisor(g.derivative()), p)
 
 
 def root_count(g: IntPoly, p: int) -> tuple[int, tuple[int, ...]]:
@@ -92,12 +89,14 @@ class SieveProfile:
 
     @classmethod
     def build(cls, g: IntPoly, Y: float) -> "SieveProfile":
-        """Roots of g' mod p for all primes with gamma = 1 that do not divide
-        its leading coefficient come from one roots_mod_primes batch; the
-        other moduli p^gamma are scanned one by one."""
+        """gamma(g; p) for every p comes from the fixed divisor of g', taken
+        once.  Roots of g' mod p for all primes with gamma = 1 that do not
+        divide its leading coefficient come from one roots_mod_primes batch;
+        the other moduli p^gamma are scanned one by one."""
         dg = g.derivative()
         primes = primes_up_to(Y)
-        gammas = [gamma_exponent(g, p) for p in primes]
+        D = fixed_divisor(dg)
+        gammas = [_gamma(D, p) for p in primes]
         batch = [p for p, gamma in zip(primes, gammas) if gamma == 1 and dg.leading() % p]
         found = dict(zip(batch, roots_mod_primes(dg.coeffs, batch)))
         data = {}

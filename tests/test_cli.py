@@ -296,6 +296,28 @@ def test_check_intersective_with_a_huge_constant_term(tmp_path):
     assert json.loads(out.read_text())["result"] == {"verdict": "not_intersective", "witness": 3}
 
 
+def test_check_intersective_with_a_squared_factor(tmp_path):
+    # 8 (29x^2+14x-27)^2 (13x^2+14x-11): the root tree of h mod 2^j branches
+    # at every other level, those of its squarefree factors do not
+    poly = "87464x^6+178640x^5-125544x^4-303520x^3+111704x^2+148176x-64152"
+    code, doc = run_cli(tmp_path, "check-intersective", "--poly", poly, "--bound", "2")
+    assert code == 0
+    assert doc["result"] == {"verdict": "not_intersective", "witness": 134217728}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("odd", "unknown set spec 'odd'"), ("mod:0:1", "needs a modulus M >= 1")],
+)
+def test_bad_set_specs_give_one_line_and_exit_1(tmp_path, capsys, spec, message):
+    argv = ["increment", "--poly", "x^2", "--N", "100", "--set", spec]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_phase_values_past_float_range_give_one_line(tmp_path, capsys):
     poly = f"x^2+{10**400 + 1}x"
     argv = ["main-term", "--poly", poly, "--a", "1", "--q", "3", "--Y", "3", "--N", "100000"]

@@ -3,7 +3,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intersective_lab import intersective, numutil
@@ -14,10 +14,11 @@ from intersective_lab.intersective import (
     IntersectiveUpTo,
     NotIntersective,
     PAdicRootData,
-    _first_power_without_root,
     _integer_root,
     _lift_level,
+    _precision_one_roots,
     _select_root,
+    _singular_product,
     _squarefree_decomposition,
     check_intersective,
     default_precision,
@@ -240,7 +241,11 @@ def literal_lift(g, p, roots, j):
     return [r + t * pj1 for r in roots for t in range(p) if g.evaluate(r + t * pj1) % pj == 0]
 
 
-def literal_hensel_roots(h, p, prec):
+class OverBudget(Exception):
+    """A literal root-tree walk would pass its evaluation budget."""
+
+
+def literal_hensel_roots(h, p, prec, budget=math.inf):
     """hensel_roots with the lifting and the derivative test done per residue."""
     found = {}
     for f in _squarefree_decomposition(h.coeffs):
@@ -248,6 +253,9 @@ def literal_hensel_roots(h, p, prec):
         E = max(prec + V, 2 * V + 1)
         roots = [r for r in range(p) if f.g.evaluate(r) % p == 0]
         for j in range(2, E + 1):
+            budget -= len(roots) * p
+            if budget < 0:
+                raise OverBudget
             roots = literal_lift(f.g, p, roots, j)
         for r in roots:
             val = f.dg.evaluate(r) % p**E
@@ -370,8 +378,22 @@ def literal_integer_root(h):
     return None
 
 
-def literal_check_intersective(h, B):
-    """check_intersective as one prime loop with the per-residue root step."""
+def literal_witness(h, p, budget):
+    """Smallest p^j with no root of h mod p^j: h's own root tree, residue by residue."""
+    roots = [r for r in range(p) if h.evaluate(r) % p == 0]
+    j = 1
+    while roots:
+        j += 1
+        budget -= len(roots) * p
+        if budget < 0:
+            raise OverBudget
+        roots = literal_lift(h, p, roots, j)
+    return p**j
+
+
+def literal_check_intersective(h, B, budget=200_000):
+    """check_intersective as one prime loop with the per-residue root step;
+    each root tree of a prime may take `budget` evaluations."""
     n0 = literal_integer_root(h)
     if n0 is not None:
         return IntersectiveUpTo(None, {}, integer_root=n0)
@@ -380,11 +402,11 @@ def literal_check_intersective(h, B):
         if best is not None and p > best:
             break
         prec = default_precision(h, p)
-        cands = literal_hensel_roots(h, p, prec)
+        cands = literal_hensel_roots(h, p, prec, budget)
         if cands:
             roots[p] = _select_root(cands, p, prec)
         else:
-            w = _first_power_without_root(h, p)
+            w = literal_witness(h, p, budget)
             best = w if best is None else min(best, w)
     return NotIntersective(best) if best is not None else IntersectiveUpTo(B, roots)
 
@@ -396,8 +418,8 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-# primitive, so that no prime divides every coefficient: the literal lifting
-# of such a root tree has no guard and grows like p^depth
+# primitive, so that the content c is the only one; a content stacks
+# v_p(c) full levels on every root tree
 primitive_polys = small_polys.map(lambda g: IntPoly([c // math.gcd(*g.coeffs) for c in g.coeffs]))
 
 
@@ -406,18 +428,52 @@ primitive_polys = small_polys.map(lambda g: IntPoly([c // math.gcd(*g.coeffs) fo
     primitive_polys,
     st.integers(1, 2),
     st.one_of(st.none(), primitive_polys),
+    st.sampled_from([1, 1, 1, 4, 6, 9]),
     st.integers(1, 300),
     st.booleans(),
 )
-def test_check_intersective_matches_prime_loop(f1, m, f2, B, kernel):
+# (27x^2+26x+11)^2 (12-24x): the tree of h holds 4096 residues mod 2^16
+# above its witness 2^17; the tree of the squared factor ends at 2^8
+@example(IntPoly([11, 26, 27]), 2, IntPoly([12, -24]), 1, 2, False)
+@example(IntPoly([11, 26, 27]), 2, IntPoly([1, -2]), 4, 5, True)
+def test_check_intersective_matches_prime_loop(f1, m, f2, c, B, kernel):
     h = poly_mul(f1, f1) if m == 2 else f1
     h = poly_mul(h, f2) if f2 is not None else h
-    want = _outcome(literal_check_intersective, h, B)
+    h = poly_mul(h, IntPoly([c]))
+    try:
+        want = _outcome(literal_check_intersective, h, B)
+    except OverBudget:
+        assume(False)
     # SCAN_WORK = -1 puts every batch through Cantor-Zassenhaus
     with pytest.MonkeyPatch.context() as mp:
         if kernel:
             mp.setattr(numutil, "SCAN_WORK", -1)
         assert _outcome(check_intersective, h, B) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    primitive_polys,
+    st.integers(1, 3),
+    st.one_of(st.none(), primitive_polys),
+    st.integers(2, 400),
+    st.booleans(),
+)
+def test_precision_one_batch_matches_hensel_roots(f1, m, f2, B, kernel):
+    # at the primes dividing neither a_k nor any Res(g_i, g_i') the batch
+    # is what hensel_roots gives at precision 1, multiplicities included
+    h = f1
+    for _ in range(m - 1):
+        h = poly_mul(h, f1)
+    h = poly_mul(h, f2) if f2 is not None else h
+    R = _singular_product(h)
+    good = [p for p in primes_up_to(B) if R % p]
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel:
+            mp.setattr(numutil, "SCAN_WORK", -1)
+        batch = _precision_one_roots(h, good)
+    assert list(batch) == good
+    assert [batch[p] for p in good] == [hensel_roots(h, p, 1) for p in good]
 
 
 @pytest.mark.parametrize("p, q", [(13, 17), (29, 53), (3, 7), (3, 19)])

@@ -15,6 +15,7 @@ from intersective_lab.residue_sieve import (
     PrimeData,
     SieveProfile,
     expected_density,
+    fixed_divisor,
     gamma_exponent,
     root_count,
     sieve_count,
@@ -39,6 +40,44 @@ def test_gamma_function_vanishing_not_coefficient_vanishing():
     h = IntPoly([0, 0, -2, 0, 1])
     assert any(c % 3 for c in h.derivative().coeffs)
     assert gamma_exponent(h, 3) == 2
+
+
+def vanishes_identically(f, m):
+    """Does f(n) = 0 (mod m) for every n?  Newton's forward differences mod m."""
+    vals = [f.evaluate(i) % m for i in range(f.degree() + 1)]
+    for _ in range(len(vals)):
+        if vals[0] % m:
+            return False
+        vals = [(b - a) % m for a, b in zip(vals, vals[1:])]
+    return True
+
+
+def loop_gamma(g, p):
+    """gamma(g; p) by testing p, p^2, ... one power at a time."""
+    dg = g.derivative()
+    gamma = 1
+    while vanishes_identically(dg, p**gamma):
+        gamma += 1
+    return gamma
+
+
+def test_fixed_divisor_examples():
+    assert fixed_divisor(IntPoly([0, -1, 0, 1])) == 6  # x^3 - x
+    assert fixed_divisor(IntPoly([0, 1, 1])) == 2  # x^2 + x
+    assert fixed_divisor(IntPoly([0, -4, 0, 4])) == 24  # the g' of x^4 - 2x^2
+    assert fixed_divisor(IntPoly([7])) == 7
+    assert fixed_divisor(IntPoly([])) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=10).filter(lambda cs: any(cs[1:])),
+    st.sampled_from([1, 2, 3, 4, 8, 9, 12, 27, 120, 5**3 * 7]),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+)
+def test_gamma_exponent_matches_forward_difference_loop(coeffs, scale, p):
+    g = IntPoly([scale * c for c in coeffs])
+    assert gamma_exponent(g, p) == loop_gamma(g, p)
 
 
 def test_root_count():
