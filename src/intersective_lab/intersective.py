@@ -314,10 +314,13 @@ def _first_power_without_root(h: IntPoly, p: int) -> int:
     v_p(g_i(x)) < t, so its score v_p(h(x)) holds for every lift of x and it
     is a leaf.  No residue of the tree of g_i survives to p^(2V_i + 1),
     V_i = v_p(Res(g_i, g_i')): strong Hensel would lift it to a Z_p root.
+    The walk starts at the factor roots mod p: every other residue is a
+    leaf scoring v_p(c), the least score of any leaf.
     """
     factors = _squarefree_decomposition(h.coeffs)
     base = padic_valuation(math.gcd(*h.coeffs), p)
-    best, nodes, t = 0, np.zeros(1, dtype=object), 0
+    roots = sorted({r for f in factors for r in roots_mod(f.g.coeffs, p)})
+    best, nodes, t = base, np.array(roots, dtype=object), 1
     while len(nodes):
         _lift_guard(len(nodes), p, t)
         cands = (nodes[:, None] + np.arange(p, dtype=object) * p**t).ravel()

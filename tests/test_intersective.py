@@ -113,6 +113,23 @@ def test_witness_is_global_minimum():
     assert isinstance(v, NotIntersective) and v.witness_q == 2
 
 
+def test_witness_at_prime_past_lift_guard():
+    # 1000003x + 1 has a simple root at every smaller prime and none mod
+    # 1000003 > LIFT_GUARD, which divides a_k
+    v = check_intersective(IntPoly([1, 1000003]), 1000003)
+    assert v == NotIntersective(1000003)
+
+
+# (-24x^4+18x^3-24x^2+31x-57)(27x^4+18x^3-24x^2+31x-57): the two factors
+# differ only in a_k and have 19-adically close roots, so hensel_roots'
+# lift of the whole tree to depth max(prec + V, 2V + 1) holds 130322
+# roots mod 19^8
+@pytest.mark.xfail(raises=TooLarge, strict=True, reason="hensel_roots lifts every branch to full depth")
+def test_close_factor_roots_stay_within_lift_guard():
+    h = IntPoly([3249, -3534, 3697, -3540, 1521, -771, 252, 54, -648])
+    check_intersective(h, 204)
+
+
 def test_lambda_examples():
     fam = AuxFamily(X2, bound=100)
     assert fam.lambda_of(12) == 144
@@ -245,7 +262,7 @@ class OverBudget(Exception):
     """A literal root-tree walk would pass its evaluation budget."""
 
 
-def literal_hensel_roots(h, p, prec, budget=math.inf):
+def literal_hensel_roots(h, p, prec):
     """hensel_roots with the lifting and the derivative test done per residue."""
     found = {}
     for f in _squarefree_decomposition(h.coeffs):
@@ -253,9 +270,6 @@ def literal_hensel_roots(h, p, prec, budget=math.inf):
         E = max(prec + V, 2 * V + 1)
         roots = [r for r in range(p) if f.g.evaluate(r) % p == 0]
         for j in range(2, E + 1):
-            budget -= len(roots) * p
-            if budget < 0:
-                raise OverBudget
             roots = literal_lift(f.g, p, roots, j)
         for r in roots:
             val = f.dg.evaluate(r) % p**E
@@ -393,7 +407,7 @@ def literal_witness(h, p, budget):
 
 def literal_check_intersective(h, B, budget=200_000):
     """check_intersective as one prime loop with the per-residue root step;
-    each root tree of a prime may take `budget` evaluations."""
+    the witness walk of each prime may take `budget` evaluations."""
     n0 = literal_integer_root(h)
     if n0 is not None:
         return IntersectiveUpTo(None, {}, integer_root=n0)
@@ -402,7 +416,7 @@ def literal_check_intersective(h, B, budget=200_000):
         if best is not None and p > best:
             break
         prec = default_precision(h, p)
-        cands = literal_hensel_roots(h, p, prec, budget)
+        cands = literal_hensel_roots(h, p, prec)
         if cands:
             roots[p] = _select_root(cands, p, prec)
         else:
