@@ -142,6 +142,50 @@ def interval_transform(N: int, gamma: TorusPoint) -> complex:
     return cmath.exp(1j * math.pi * (N + 1) * v) * ratio
 
 
+_NODE_BLOCK = 1 << 14  # nodes per block of interval_transform_nodes
+
+
+def interval_transform_nodes(N: int, G: int, nodes: np.ndarray) -> np.ndarray:
+    """sum_{n=1}^{N} e(-n j / G) at integer nodes 0 <= j < G, G a power of two.
+
+    The conjugate of interval_transform(N, j / G), as
+    (E(j) - E((2N + 1) j)) / (2i sin(pi j / G)) with E(k) = e^(-i pi k / G).
+    Each k is reduced exactly mod 2G and E(k) read from a two-level table,
+    t_hi[k >> s] * t_lo[k mod 2^s] with 2^s about sqrt(2G), so no node pays
+    for a sine or an exponential.
+    """
+    if G < 2 or G & (G - 1):
+        raise ValueError(f"G must be a power of two >= 2, got {G}")
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= G):
+        raise ValueError(f"nodes must lie in [0, {G})")
+    mask = 2 * G - 1
+    s = (mask.bit_length() + 1) // 2
+    low = (1 << s) - 1
+    # angles k / G taken exactly in [-1, 1) before the one float product by pi
+    top = np.arange(0, 2 * G, 1 << s)
+    t_hi = np.exp(-1j * np.pi * ((((top + G) & mask) - G) / G))
+    t_lo = np.exp(-1j * np.pi * (np.arange(low + 1) / G))
+    step = (2 * N + 1) & mask
+    out = np.empty(nodes.size, dtype=np.complex128)
+    for lo in range(0, nodes.size, _NODE_BLOCK):
+        j = nodes[lo : lo + _NODE_BLOCK]
+        k = (j * step) & mask
+        e_j = t_hi[j >> s] * t_lo[j & low]
+        diff = e_j - t_hi[k >> s] * t_lo[k & low]
+        # e_j.imag = -sin(pi j / G), so diff / (2i sin) = (-diff.imag + i diff.real) * h;
+        # j = 0, where sin vanishes, is set to N afterwards
+        neg_sin = e_j.imag
+        at_zero = j == 0
+        neg_sin[at_zero] = 1.0
+        h = 0.5 / neg_sin
+        blk = out[lo : lo + j.size]
+        blk.real = -diff.imag * h
+        blk.imag = diff.real * h
+        blk[at_zero] = N
+    return out
+
+
 def g_hat(A: Iterable[int], N: int, gamma: TorusPoint) -> complex:
     """Fourier transform of g = 1_A - sigma 1_[N] at gamma."""
     elems = sorted(set(A))

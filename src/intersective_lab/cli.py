@@ -214,15 +214,24 @@ def _fmt_cell(v: Any) -> Any:
     return v
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for limits that may be 0: an integer >= 0."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _rational(text: str) -> Fraction:
@@ -507,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, bound=True)
     p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--set", default="greedy", help="'greedy' or 'mod:M:R'")
-    p.add_argument("--max-steps", type=int, default=8)
+    p.add_argument("--max-steps", type=_nonnegative_int, default=8)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--nu-formula", action="store_true")
     p.set_defaults(handler=_cmd_increment)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .arcs_fourier import fft_grid_size
+from .arcs_fourier import fft_grid_size, interval_transform_nodes
 from .errors import InvariantViolation, SetOutOfRange, TooLarge
 from .hfree import HFreeInstance, is_h_free
 from .intersective import AuxFamily
@@ -143,14 +143,37 @@ def find_increment(
     return IncrementResult(n_star, offset, a_star, Fraction(len(a_star), n_star))
 
 
-def _magnitude_grid(x: np.ndarray) -> np.ndarray:
-    """|FFT(x)| at all len(x) nodes, from the half spectrum of real x.
+def _power_buffer(yhat: np.ndarray, pad: int) -> np.ndarray:
+    """|FFT(x)|^2 at all G = 2 (len(yhat) - 1) nodes, then its first pad <= G
+    values once more, from the half spectrum yhat = rfft(x) of real x.
 
     For real input F[G - j] is the conjugate of F[j], so the upper half of
-    the grid mirrors the lower one; len(x) must be even.
+    the grid mirrors the lower one; the pad lets a window that wraps the
+    circle be read as one slice.
     """
-    half = np.abs(np.fft.rfft(x))
-    return np.concatenate([half, half[-2:0:-1]])
+    h = yhat.size - 1
+    G = 2 * h
+    buf = np.empty(G + pad, dtype=np.float64)
+    np.abs(yhat, out=buf[: h + 1])
+    buf[: h + 1] **= 2
+    buf[h + 1 : G] = buf[h - 1 : 0 : -1]
+    buf[G:] = buf[:pad]
+    return buf
+
+
+def _set_magnitude(
+    yhat: np.ndarray, sigma: float, N: int, G: int, nodes: np.ndarray
+) -> np.ndarray:
+    """|1_A-hat(-j / G)| at nodes 0 <= j <= G/2, from yhat = rfft(y)[nodes],
+    where y = 1_A - sigma 1_[1, N] on the G-point grid.
+
+    By linearity 1_A-hat(-j / G) = rfft(y)[j] + sigma I(j), with I the
+    interval transform sum_{n=1}^{N} e(-n j / G) in closed form.
+    """
+    v = interval_transform_nodes(N, G, nodes)
+    v *= sigma
+    v += yhat
+    return np.abs(v)
 
 
 def select_gamma(
@@ -165,12 +188,14 @@ def select_gamma(
     """Arc survey: peaks of |1_A-hat| and arc masses of |g-hat|^2.
 
     Arcs M_{a,q}(N, kappa/sigma) for q <= kappa/sigma^(k+1) (clamped at
-    q_cap; sparse sets make the nominal range astronomically large).  Both
-    transforms are evaluated on one power-of-two FFT grid with spacing
-    <= 1/(oversample N); each arc takes its mass by trapezoid over all
-    in-arc nodes (an arc wider than the circle wraps around it).  Arcs below
-    the sigma^(3k+5) N / log N mass threshold are dropped, and each survivor
-    takes its peak over PEAK_POINTS grid nodes.  Survivors are bucketed
+    q_cap; sparse sets make the nominal range astronomically large).  One
+    real FFT of g on a power-of-two grid with spacing <= 1/(oversample N)
+    gives |g-hat|^2 at every node; each arc takes its mass by trapezoid over
+    all in-arc nodes (an arc wider than the circle wraps around it).  Arcs
+    below the sigma^(3k+5) N / log N mass threshold are dropped, and each
+    survivor takes its peak over PEAK_POINTS grid nodes, where
+    1_A-hat = g-hat + sigma 1_[N]-hat is read from the same FFT and the
+    closed-form interval transform.  Survivors are bucketed
     dyadically in sqrt(mass) and q, and the bucket with the largest
     q^(-1/2) peak sqrt(mass) total wins; ties go to the smaller sqrt(mass)
     exponent, then the smaller q.
@@ -195,9 +220,10 @@ def select_gamma(
         raise TooLarge(f"FFT grid of {G} points exceeds the GRID_GUARD of {GRID_GUARD}")
     x = np.zeros(G, dtype=np.float64)
     x[elems % G] = 1.0  # distinct: A lies in [1, N] and N <= G
-    magA = _magnitude_grid(x)  # |1_A-hat(j / G)|
-    x[np.arange(1, N + 1) % G] -= sf
-    magg2 = _magnitude_grid(x) ** 2  # |g-hat(j / G)|^2
+    x[1 : N + 1] -= sf
+    if N == G:
+        x[0] -= sf  # n = N sits on node 0
+    yhat = np.fft.rfft(x)  # g-hat(-j / G) for 0 <= j <= G/2
     halfwidth = K / N
     threshold = sf ** (3 * k + 5) * N / math.log(N)
 
@@ -223,7 +249,10 @@ def select_gamma(
     # one shared grid; windows wrap around the circle, and a window longer
     # than the circle counts each full turn once more
     turns, rem = np.divmod(count, G)
-    csum = np.concatenate([[0.0], np.cumsum(np.pad(magg2, (0, min(cmax, G)), mode="wrap"))])
+    magg2 = _power_buffer(yhat, min(cmax, G))  # |g-hat(j / G)|^2, wrapped
+    csum = np.empty(magg2.size + 1, dtype=np.float64)
+    csum[0] = 0.0
+    np.cumsum(magg2, out=csum[1:])
     win_sum = turns * csum[G] + (csum[j_lo + rem] - csum[j_lo])
     wrap = G - 1  # G is a power of two: i & wrap == i mod G
     ends = magg2[j_lo] + magg2[(j_lo + count - 1) & wrap]
@@ -232,13 +261,38 @@ def select_gamma(
     keep = np.flatnonzero(ok & (mass_arr > threshold) & (mass_arr > 0.0))
     if keep.size == 0:
         return GammaSelection(0.0, 0.0, _entries([], [], [], []), sigma, size)
+    # PEAK_POINTS sampled nodes per arc, at offsets that depend on its node
+    # count alone: one row of offsets per distinct count
+    counts, row = np.unique(count[keep], return_inverse=True)
     frac = np.linspace(0.0, 1.0, PEAK_POINTS)
-    peak = np.empty(keep.size, dtype=np.float64)
-    chunk = (1 << 21) // PEAK_POINTS
-    for lo in range(0, keep.size, chunk):
-        arcs = keep[lo : lo + chunk]
-        rel = np.round(frac[None, :] * (count[arcs, None] - 1)).astype(np.int64)
-        peak[lo : lo + arcs.size] = magA[(j_lo[arcs, None] + rel) & wrap].max(axis=1)
+    rel = np.round(frac[None, :] * (counts[:, None] - 1)).astype(np.int64)
+
+    def sampled(part: slice) -> np.ndarray:
+        return (j_lo[keep[part], None] + rel[row[part]]) & wrap
+
+    # |1_A-hat| is even on the grid (node G - j mirrors node j), so it is
+    # evaluated on [0, G/2] only
+    half = G // 2
+    if PEAK_POINTS * keep.size < half:
+        # few sampled nodes: fold them onto [0, G/2] and evaluate those alone
+        idx = sampled(slice(None))
+        folded = np.minimum(idx, G - idx)
+        marked = np.zeros(half + 1, dtype=bool)
+        marked[folded] = True
+        nodes = np.flatnonzero(marked)
+        mag = np.zeros(half + 1, dtype=np.float64)
+        mag[nodes] = _set_magnitude(yhat[nodes], sf, N, G, nodes)
+        peak = mag[folded].max(axis=1)
+    else:
+        # every node, at about the cost of one more FFT, mirrored to the grid
+        magA = np.empty(G, dtype=np.float64)
+        magA[: half + 1] = _set_magnitude(yhat, sf, N, G, np.arange(half + 1))
+        magA[half + 1 :] = magA[half - 1 : 0 : -1]
+        peak = np.empty(keep.size, dtype=np.float64)
+        chunk = (1 << 21) // PEAK_POINTS
+        for lo in range(0, keep.size, chunk):
+            part = slice(lo, lo + chunk)
+            peak[part] = magA[sampled(part)].max(axis=1)
     mass = mass_arr[keep]
     q_keep = q_arr[keep]
     bexp = np.ceil(np.log2(sf * math.sqrt(N) / np.sqrt(mass))).astype(np.int64)

@@ -19,6 +19,7 @@ from intersective_lab.arcs_fourier import (
     fourier_set,
     g_hat,
     interval_transform,
+    interval_transform_nodes,
     parseval_total,
 )
 from intersective_lab.errors import SetOutOfRange
@@ -152,6 +153,46 @@ def test_interval_transform_matches_direct():
         direct = fourier_set(range(1, N + 1), gamma)
         assert cmath.isclose(interval_transform(N, gamma), direct, abs_tol=1e-8)
     assert interval_transform(7, TorusPoint.rational(0, 1)) == 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 23),
+    st.integers(1, 1 << 18),
+    st.lists(st.integers(0, 1 << 22), max_size=40),
+)
+@example(4, 1, [0, 8])  # G = 16, N = 1: j = 0 and j = G/2
+@example(4, 16, [0, 1, 7, 8])  # N = G
+@example(20, (1 << 15) + 3, [0, 1, 2, 3, 1 << 19])  # N near G/32
+@example(23, 1 << 18, [0, 1, (1 << 22) - 1, 1 << 22])
+def test_interval_transform_nodes_matches_closed_form(log_g, N, nodes):
+    # the conjugate of interval_transform(N, j / G); the oracle takes its
+    # phase pi (N + 1) j / G in floating point, so it is the less exact side
+    # and the tolerance follows its rounding error, N ulp(1) (N + 1 / sin)
+    G = 1 << log_g
+    nodes = [j % (G // 2 + 1) for j in nodes] + [0, G // 2]
+    got = interval_transform_nodes(N, G, np.array(nodes))
+    for j, value in zip(nodes, got.tolist()):
+        want = interval_transform(N, TorusPoint(None, j / G)).conjugate()
+        tol = 0.0 if j == 0 else 1e-15 * N * (N + 1 / math.sin(math.pi * j / G))
+        assert abs(value - want) <= tol, (G, N, j)
+
+
+def test_interval_transform_nodes_matches_direct_sum():
+    for G, N in ((16, 1), (16, 16), (64, 2), (1024, 31), (1024, 1000)):
+        j = np.arange(G)
+        direct = np.exp(-2j * np.pi * np.outer(j, np.arange(1, N + 1)) / G).sum(axis=1)
+        assert np.allclose(interval_transform_nodes(N, G, j), direct, rtol=0, atol=1e-12 * N)
+    assert interval_transform_nodes(5, 16, np.array([], dtype=np.int64)).size == 0
+
+
+def test_interval_transform_nodes_rejects_bad_input():
+    for G in (0, 1, 12, -16):
+        with pytest.raises(ValueError, match="power of two"):
+            interval_transform_nodes(3, G, np.array([0]))
+    for nodes in ([-1], [16], [0, 3, 40]):
+        with pytest.raises(ValueError, match="nodes"):
+            interval_transform_nodes(3, 16, np.array(nodes))
 
 
 def test_g_hat_examples():

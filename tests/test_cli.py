@@ -188,6 +188,7 @@ def test_sieve_report_keeps_period_beyond_digit_limit(tmp_path):
         ["sieve", "--poly", "x^2", "--Y", "10", "--X", "0"],
         ["maxset", "--poly", "x^2", "--N", "-3"],
         ["arcs", "--N", "0", "--K", "1", "--Q", "3"],
+        ["increment", "--poly", "x^2", "--N", "20", "--max-steps", "-1"],
     ],
 )
 def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
@@ -195,9 +196,17 @@ def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
         main([*argv, "--out", str(tmp_path / "r.json")])
     assert ei.value.code == 2
     err = capsys.readouterr().err
-    assert "must be a positive integer" in err
+    # a step limit may be 0; every other count must be positive
+    kind = "non-negative" if "--max-steps" in argv else "positive"
+    assert f"must be a {kind} integer" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_increment_zero_max_steps(tmp_path):
+    code, doc = run_cli(tmp_path, "increment", "--poly", "x^2", "--N", "20", "--max-steps", "0")
+    assert code == 0
+    assert doc["result"]["steps"] == 0
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intersective_lab import increment
 from intersective_lab.arcs_fourier import arc_l2_mass, fft_grid_size
@@ -13,7 +13,8 @@ from intersective_lab.hfree import HFreeInstance, greedy_h_free, is_h_free
 from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.increment import (
     _entries,
-    _magnitude_grid,
+    _power_buffer,
+    _set_magnitude,
     GammaSelection,
     Increment,
     SmallFibers,
@@ -198,11 +199,95 @@ def test_select_gamma_bucket_invariants(fam_x2):
         assert math.gcd(e.a, e.q) == 1
 
 
-def test_magnitude_grid_matches_full_fft():
+def test_power_buffer_matches_full_fft():
     rng = np.random.default_rng(31)
     for G in (2, 4, 16, 64, 1024):
         for x in (rng.random(G), rng.integers(0, 2, G).astype(float) - 0.3):
-            assert np.allclose(_magnitude_grid(x), np.abs(np.fft.fft(x)), rtol=1e-12, atol=1e-12)
+            for pad in (0, 1, G // 2, G):
+                buf = _power_buffer(np.fft.rfft(x), pad)
+                assert buf.size == G + pad
+                full = np.abs(np.fft.fft(x)) ** 2
+                assert np.allclose(buf[:G], full, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(buf[G:], buf[:pad])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.sampled_from([1, 2, 3, 32]),
+    st.randoms(use_true_random=False),
+)
+@example(1, 32, random.Random(0))
+@example(1024, 1, random.Random(5))  # N = G
+def test_set_magnitude_matches_indicator_fft(N, oversample, rng):
+    # |1_A-hat| from the transform of g = 1_A - sigma 1_[1, N] and the closed
+    # interval transform, at a random node set, against the FFT of 1_A
+    G = fft_grid_size(N, oversample)
+    A = rng.sample(range(1, N + 1), rng.randint(1, N))
+    sf = len(A) / N
+    x = np.zeros(G)
+    x[np.array(A) % G] = 1.0
+    want = np.abs(np.fft.rfft(x))
+    x[1 : N + 1] -= sf
+    if N == G:
+        x[0] -= sf  # n = N sits on node 0
+    yhat = np.fft.rfft(x)
+    nodes = np.array(sorted({0, G // 2, *rng.choices(range(G // 2 + 1), k=40)}))
+    got = _set_magnitude(yhat[nodes], sf, N, G, nodes)
+    assert np.allclose(got, want[nodes], rtol=0, atol=1e-12 * len(A))
+
+
+def two_fft_survey(A, N, k, kappa, oversample=32, q_cap=4096):
+    """select_gamma as two real FFTs of the whole grid, one of 1_A for the
+    peaks and one of g for the masses, with the 64 peak offsets taken arc
+    by arc; returns (B, Q, a, q, peak, mass) and the number of arcs above
+    the threshold."""
+    elems = np.array(sorted(set(A)), dtype=np.int64)
+    sf = len(elems) / N
+    K = kappa / sf
+    q_max = min(q_cap, max(1, math.floor(kappa / sf ** (k + 1))))
+    G = fft_grid_size(N, oversample)
+
+    def magnitude(x):
+        half = np.abs(np.fft.rfft(x))
+        return np.concatenate([half, half[-2:0:-1]])
+
+    x = np.zeros(G)
+    x[elems % G] = 1.0
+    magA = magnitude(x)
+    x[np.arange(1, N + 1) % G] -= sf
+    magg2 = magnitude(x) ** 2
+    arcs = [(1, 1)] + [(a, q) for q in range(2, q_max + 1) for a in range(1, q) if math.gcd(a, q) == 1]
+    a_arr = np.array([a for a, _ in arcs], dtype=np.int64)
+    q_arr = np.array([q for _, q in arcs], dtype=np.int64)
+    centers = a_arr / q_arr
+    j_lo = np.ceil((centers - K / N) * G - 1e-12).astype(np.int64)
+    count = np.floor((centers + K / N) * G + 1e-12).astype(np.int64) - j_lo + 1
+    j_lo = np.mod(j_lo, G)
+    turns, rem = np.divmod(count, G)
+    pad = min(int(count.max(initial=2)), G)
+    csum = np.concatenate([[0.0], np.cumsum(np.pad(magg2, (0, pad), mode="wrap"))])
+    ends = magg2[j_lo] + magg2[(j_lo + count - 1) % G]
+    mass = (turns * csum[G] + (csum[j_lo + rem] - csum[j_lo]) - 0.5 * ends) / G
+    threshold = sf ** (3 * k + 5) * N / math.log(N)
+    keep = np.flatnonzero((count >= 2) & (mass > threshold) & (mass > 0.0))
+    frac = np.linspace(0.0, 1.0, increment.PEAK_POINTS)
+    peak = np.array(
+        [magA[(j_lo[i] + np.round(frac * (count[i] - 1)).astype(np.int64)) % G].max() for i in keep]
+    )
+    mass, q_keep = mass[keep], q_arr[keep]
+    bexp = np.ceil(np.log2(sf * math.sqrt(N) / np.sqrt(mass))).astype(np.int64)
+    qexp = np.frexp(q_keep.astype(np.float64))[1] - 1
+    totals = {}
+    for b, qe, score in zip(bexp.tolist(), qexp.tolist(), (peak * np.sqrt(mass / q_keep)).tolist()):
+        totals[b, qe] = totals.get((b, qe), 0.0) + score
+    if not totals:
+        return (0.0, 0.0, [], [], [], []), keep.size
+    best = max(totals.values())
+    b, qe = min(key for key, total in totals.items() if total == best)
+    win = (bexp == b) & (qexp == qe)
+    chosen = (a_arr[keep][win], q_keep[win], peak[win], mass[win])
+    return (2.0**b, 2.0**qe, *chosen), keep.size
 
 
 # (h, N, kappa) -> (B, Q, entries) on the greedy h-free set of [1, N].  The
@@ -246,6 +331,32 @@ def test_select_gamma_pinned(h, N, kappa, B, Q, expected):
         assert _digest(got) == expected
     else:
         assert got == expected
+
+
+# (h, N, kappa, oversample, branch): the SELECT_PINS inputs, then a survey
+# whose few survivors take |1_A-hat| at their sampled nodes only, one that
+# evaluates every node of [0, G/2], and one on a grid of exactly N points
+SURVEY_CASES = [(h, N, kappa, 32, None) for h, N, kappa, *_ in SELECT_PINS] + [
+    (X2, 20000, 0.01, 32, "sparse"),
+    (X2M1, 1000, 0.2, 32, "dense"),
+    (X2, 1024, 0.2, 1, None),
+]
+
+
+@pytest.mark.parametrize("h, N, kappa, oversample, branch", SURVEY_CASES)
+def test_select_gamma_matches_two_fft_survey(h, N, kappa, oversample, branch):
+    A = greedy_h_free(HFreeInstance.build(h, N))
+    fam = AuxFamily(h, bound=100)
+    sel = select_gamma(A, N, fam, 1, kappa=kappa, oversample=oversample)
+    (B, Q, a, q, peak, mass), survivors = two_fft_survey(A, N, fam.k, kappa, oversample)
+    G = fft_grid_size(N, oversample)
+    if branch is not None:
+        assert (increment.PEAK_POINTS * survivors < G // 2) == (branch == "sparse")
+    assert (sel.B, sel.Q) == (B, Q)
+    assert sel.entries.a.tolist() == list(a)
+    assert sel.entries.q.tolist() == list(q)
+    assert np.array_equal(sel.entries.mass, mass)
+    assert np.allclose(sel.entries.peak, peak, rtol=1e-12, atol=0)
 
 
 def test_select_gamma_tiny_N(fam_x2):
