@@ -152,7 +152,8 @@ def interval_transform_nodes(N: int, G: int, nodes: np.ndarray) -> np.ndarray:
     (E(j) - E((2N + 1) j)) / (2i sin(pi j / G)) with E(k) = e^(-i pi k / G).
     Each k is reduced exactly mod 2G and E(k) read from a two-level table,
     t_hi[k >> s] * t_lo[k mod 2^s] with 2^s about sqrt(2G), so no node pays
-    for a sine or an exponential.
+    for a sine or an exponential.  A node j > G/2 is taken as the conjugate
+    at G - j, where the small sine near j = G keeps its relative precision.
     """
     if G < 2 or G & (G - 1):
         raise ValueError(f"G must be a power of two >= 2, got {G}")
@@ -170,6 +171,8 @@ def interval_transform_nodes(N: int, G: int, nodes: np.ndarray) -> np.ndarray:
     out = np.empty(nodes.size, dtype=np.complex128)
     for lo in range(0, nodes.size, _NODE_BLOCK):
         j = nodes[lo : lo + _NODE_BLOCK]
+        upper = j > G // 2
+        j = np.where(upper, G - j, j)
         k = (j * step) & mask
         e_j = t_hi[j >> s] * t_lo[j & low]
         diff = e_j - t_hi[k >> s] * t_lo[k & low]
@@ -181,9 +184,32 @@ def interval_transform_nodes(N: int, G: int, nodes: np.ndarray) -> np.ndarray:
         h = 0.5 / neg_sin
         blk = out[lo : lo + j.size]
         blk.real = -diff.imag * h
-        blk.imag = diff.real * h
+        blk.imag = np.where(upper, -diff.real, diff.real) * h
         blk[at_zero] = N
     return out
+
+
+def blocked_spectrum(head: np.ndarray, G: int) -> np.ndarray:
+    """DFT X of the G-point grid x = head zero-padded, from M-point FFTs.
+
+    head is real, of length M; M and G are powers of two with M <= G.  With
+    P = G / M, row r <= P/2 of the result holds X[P u + r] =
+    FFT_M(head e(-r n / G))[u], one batched FFT of rows that fit in cache;
+    real x has X[G - j] = conj X[j], which gives the rows P/2 < r < P.  The
+    twiddle angles r n < G/2 are exact integers, taken as the outer product
+    t_hi[r, n >> s] t_lo[r, n mod 2^s] with 2^s about sqrt(M).
+    """
+    M = head.size
+    if G < 1 or G & (G - 1) or M < 1 or M & (M - 1) or M > G:
+        raise ValueError(f"need powers of two M <= G, got M = {M}, G = {G}")
+    R, s = G // M // 2 + 1, M.bit_length() // 2
+    r = np.arange(R)[:, None]
+    t_hi = np.exp(-2j * np.pi / G * (r * np.arange(0, M, 1 << s)))
+    t_lo = np.exp(-2j * np.pi / G * (r * np.arange(1 << s)))
+    z = np.empty((R, M), dtype=np.complex128)
+    np.multiply(t_hi[:, :, None], t_lo[:, None, :], out=z.reshape(R, -1, 1 << s))
+    z *= head
+    return np.fft.fft(z, axis=1)
 
 
 def g_hat(A: Iterable[int], N: int, gamma: TorusPoint) -> complex:
@@ -253,19 +279,19 @@ def circle_l2_mass(A: Iterable[int], N: int, oversample: int = 32) -> float:
 
     The periodic rectangle rule on G >= N nodes integrates |g-hat|^2, a
     trigonometric polynomial of degree < N, exactly, recovering
-    Parseval's |A|(1 - sigma) up to roundoff; evaluated with one real FFT.
+    Parseval's |A|(1 - sigma) up to roundoff; evaluated with blocked_spectrum.
     """
     G = fft_grid_size(N, oversample)
     elems = np.array(sorted(set(A)), dtype=np.int64)
     if elems.size and (elems[0] < 1 or elems[-1] > N):
         raise SetOutOfRange(f"A must lie in [1, {N}]")
-    # g shifted down by one (n -> n - 1), which leaves |g-hat| unchanged
-    x = np.zeros(G, dtype=np.float64)
+    # g shifted down by one (n -> n - 1) onto [0, N), which leaves |g-hat| unchanged
+    x = np.zeros(min(G, 1 << (N - 1).bit_length()), dtype=np.float64)
     x[:N] = -elems.size / N
     x[elems - 1] += 1.0  # distinct indices
-    p = np.abs(np.fft.rfft(x)) ** 2
-    # one-sided Parseval: every bin but 0 and G/2 stands for itself and its mirror
-    return float((2.0 * p.sum() - p[0] - p[-1]) / G)
+    s = (np.abs(blocked_spectrum(x, G)) ** 2).sum(axis=1)
+    # rows 0 and P/2 hold their own mirrors; each row between stands for two
+    return float((s.sum() + s[1:-1].sum()) / G)
 
 
 def parseval_total(A: Iterable[int], N: int) -> float:

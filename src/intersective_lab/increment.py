@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .arcs_fourier import fft_grid_size, interval_transform_nodes
+from .arcs_fourier import blocked_spectrum, fft_grid_size, interval_transform_nodes
 from .errors import InvariantViolation, SetOutOfRange, TooLarge
 from .hfree import HFreeInstance, is_h_free
 from .intersective import AuxFamily
@@ -143,37 +143,26 @@ def find_increment(
     return IncrementResult(n_star, offset, a_star, Fraction(len(a_star), n_star))
 
 
-def _power_buffer(yhat: np.ndarray, pad: int) -> np.ndarray:
-    """|FFT(x)|^2 at all G = 2 (len(yhat) - 1) nodes, then its first pad <= G
-    values once more, from the half spectrum yhat = rfft(x) of real x.
-
-    For real input F[G - j] is the conjugate of F[j], so the upper half of
-    the grid mirrors the lower one; the pad lets a window that wraps the
-    circle be read as one slice.
+def _unfold(buf: np.ndarray, G: int, M: int) -> None:
+    """Fill buf[:G], viewed as b[u, r] at node P u + r, from its columns r <= P/2
+    by the mirror b[u, r] = b[M - 1 - u, P - r] of an even grid (node G - j
+    equals node j), then pad it with its first len(buf) - G <= G entries.
     """
-    h = yhat.size - 1
-    G = 2 * h
-    buf = np.empty(G + pad, dtype=np.float64)
-    np.abs(yhat, out=buf[: h + 1])
-    buf[: h + 1] **= 2
-    buf[h + 1 : G] = buf[h - 1 : 0 : -1]
-    buf[G:] = buf[:pad]
-    return buf
+    P = G // M
+    R = P // 2 + 1
+    b = buf[:G].reshape(M, P)
+    b[:, R:] = b[::-1, R - 2 : 0 : -1]
+    buf[G:] = buf[: buf.size - G]
 
 
 def _set_magnitude(
     yhat: np.ndarray, sigma: float, N: int, G: int, nodes: np.ndarray
 ) -> np.ndarray:
-    """|1_A-hat(-j / G)| at nodes 0 <= j <= G/2, from yhat = rfft(y)[nodes],
-    where y = 1_A - sigma 1_[1, N] on the G-point grid.
-
-    By linearity 1_A-hat(-j / G) = rfft(y)[j] + sigma I(j), with I the
-    interval transform sum_{n=1}^{N} e(-n j / G) in closed form.
+    """|1_A-hat(-j / G)| at nodes 0 <= j < G, from yhat = Y[nodes], the DFT
+    of y = 1_A - sigma 1_[1, N] on the G-point grid: by linearity it is
+    Y[j] + sigma I(j), I the closed-form interval transform sum_{n<=N} e(-n j / G).
     """
-    v = interval_transform_nodes(N, G, nodes)
-    v *= sigma
-    v += yhat
-    return np.abs(v)
+    return np.abs(interval_transform_nodes(N, G, nodes) * sigma + yhat)
 
 
 def select_gamma(
@@ -188,13 +177,14 @@ def select_gamma(
     """Arc survey: peaks of |1_A-hat| and arc masses of |g-hat|^2.
 
     Arcs M_{a,q}(N, kappa/sigma) for q <= kappa/sigma^(k+1) (clamped at
-    q_cap; sparse sets make the nominal range astronomically large).  One
-    real FFT of g on a power-of-two grid with spacing <= 1/(oversample N)
-    gives |g-hat|^2 at every node; each arc takes its mass by trapezoid over
+    q_cap; sparse sets make the nominal range astronomically large).  g
+    lives on the first M nodes of a power-of-two grid with spacing
+    <= 1/(oversample N), so blocked_spectrum gives g-hat at every node from
+    FFTs of length M; each arc takes its mass by trapezoid of |g-hat|^2 over
     all in-arc nodes (an arc wider than the circle wraps around it).  Arcs
     below the sigma^(3k+5) N / log N mass threshold are dropped, and each
     survivor takes its peak over PEAK_POINTS grid nodes, where
-    1_A-hat = g-hat + sigma 1_[N]-hat is read from the same FFT and the
+    1_A-hat = g-hat + sigma 1_[N]-hat is read from the same spectrum and the
     closed-form interval transform.  Survivors are bucketed
     dyadically in sqrt(mass) and q, and the bucket with the largest
     q^(-1/2) peak sqrt(mass) total wins; ties go to the smaller sqrt(mass)
@@ -218,95 +208,98 @@ def select_gamma(
     G = fft_grid_size(N, oversample)
     if G > GRID_GUARD:
         raise TooLarge(f"FFT grid of {G} points exceeds the GRID_GUARD of {GRID_GUARD}")
-    x = np.zeros(G, dtype=np.float64)
-    x[elems % G] = 1.0  # distinct: A lies in [1, N] and N <= G
-    x[1 : N + 1] -= sf
-    if N == G:
-        x[0] -= sf  # n = N sits on node 0
-    yhat = np.fft.rfft(x)  # g-hat(-j / G) for 0 <= j <= G/2
+    # g lives on [0, M), a block of P = G / M; n = N sits on node 0 when N = G
+    M = min(G, 1 << N.bit_length())
+    P = G // M
+    R = P // 2 + 1
+    x = np.zeros(M, dtype=np.float64)
+    x[elems % M] = 1.0  # distinct: A lies in [1, N] and N < M or N = M = G
+    x[np.arange(1, N + 1) % M] -= sf
+    rows = blocked_spectrum(x, G)  # rows[r, u] = g-hat(-(P u + r) / G), r <= P/2
     halfwidth = K / N
     threshold = sf ** (3 * k + 5) * N / math.log(N)
 
     # reduced fractions a/q, q <= q_max, as flat arrays
-    a_parts, q_parts = [], []
-    for q in range(1, q_max + 1):
-        if q == 1:
-            a_parts.append(np.array([1], dtype=np.int64))
-        else:
-            aa = np.arange(1, q, dtype=np.int64)
-            a_parts.append(aa[np.gcd(aa, q) == 1])
-        q_parts.append(np.full(a_parts[-1].size, q, dtype=np.int64))
+    a_parts = [np.array([1], dtype=np.int64)]
+    for q in range(2, q_max + 1):
+        aa = np.arange(1, q, dtype=np.int64)
+        a_parts.append(aa[np.gcd(aa, q) == 1])
+    q_arr = np.repeat(np.arange(1, q_max + 1, dtype=np.int64), [p.size for p in a_parts])
     a_arr = np.concatenate(a_parts)
-    q_arr = np.concatenate(q_parts)
+    del a_parts
     centers = a_arr / q_arr
     j_lo = np.ceil((centers - halfwidth) * G - 1e-12).astype(np.int64)
-    j_hi = np.floor((centers + halfwidth) * G + 1e-12).astype(np.int64)
-    count = j_hi - j_lo + 1
+    count = np.floor((centers + halfwidth) * G + 1e-12).astype(np.int64) - j_lo + 1
+    del centers
     ok = count >= 2
-    j_lo = np.mod(j_lo, G)
-    cmax = int(count.max(initial=2))
+    wrap = G - 1  # G is a power of two: i & wrap == i mod G
+    j_lo &= wrap
 
-    # one shared grid; windows wrap around the circle, and a window longer
-    # than the circle counts each full turn once more
-    turns, rem = np.divmod(count, G)
-    magg2 = _power_buffer(yhat, min(cmax, G))  # |g-hat(j / G)|^2, wrapped
+    # |g-hat(j / G)|^2 on one shared grid; windows wrap around the circle,
+    # and a window longer than the circle counts each full turn once more
+    magg2 = np.empty(G + min(int(count.max(initial=2)), G), dtype=np.float64)
+    cols = magg2[:G].reshape(M, P)[:, :R]  # node P u + r at cols[u, r]
+    np.abs(rows.T, out=cols)
+    cols **= 2
+    _unfold(magg2, G, M)
     csum = np.empty(magg2.size + 1, dtype=np.float64)
     csum[0] = 0.0
     np.cumsum(magg2, out=csum[1:])
-    win_sum = turns * csum[G] + (csum[j_lo + rem] - csum[j_lo])
-    wrap = G - 1  # G is a power of two: i & wrap == i mod G
-    ends = magg2[j_lo] + magg2[(j_lo + count - 1) & wrap]
-    mass_arr = (win_sum - 0.5 * ends) / G
+    # trapezoid over the window: whole turns, the rest, minus half the ends
+    mass_arr = (count >> (G.bit_length() - 1)) * csum[G]
+    mass_arr += csum[j_lo + (count & wrap)] - csum[j_lo]
+    mass_arr -= 0.5 * (magg2[j_lo] + magg2[(j_lo + count - 1) & wrap])
+    mass_arr /= G
 
     keep = np.flatnonzero(ok & (mass_arr > threshold) & (mass_arr > 0.0))
     if keep.size == 0:
         return GammaSelection(0.0, 0.0, _entries([], [], [], []), sigma, size)
+    a_arr, q_arr, mass, j_lo, count = (v[keep] for v in (a_arr, q_arr, mass_arr, j_lo, count))
+    del mass_arr, ok
     # PEAK_POINTS sampled nodes per arc, at offsets that depend on its node
     # count alone: one row of offsets per distinct count
-    counts, row = np.unique(count[keep], return_inverse=True)
+    counts, row = np.unique(count, return_inverse=True)
     frac = np.linspace(0.0, 1.0, PEAK_POINTS)
     rel = np.round(frac[None, :] * (counts[:, None] - 1)).astype(np.int64)
 
     def sampled(part: slice) -> np.ndarray:
-        return (j_lo[keep[part], None] + rel[row[part]]) & wrap
+        return (j_lo[part, None] + rel[row[part]]) & wrap
 
-    # |1_A-hat| is even on the grid (node G - j mirrors node j), so it is
-    # evaluated on [0, G/2] only
-    half = G // 2
-    if PEAK_POINTS * keep.size < half:
-        # few sampled nodes: fold them onto [0, G/2] and evaluate those alone
-        idx = sampled(slice(None))
-        folded = np.minimum(idx, G - idx)
-        marked = np.zeros(half + 1, dtype=bool)
-        marked[folded] = True
-        nodes = np.flatnonzero(marked)
-        mag = np.zeros(half + 1, dtype=np.float64)
-        mag[nodes] = _set_magnitude(yhat[nodes], sf, N, G, nodes)
-        peak = mag[folded].max(axis=1)
+    # |1_A-hat| on the grid, in the buffer that held |g-hat|^2; it is even
+    # (node G - j mirrors node j), so rows, which hold the nodes P u + r
+    # with r <= P/2 at position r M + u, cover it
+    flat = rows.ravel()
+    if PEAK_POINTS * keep.size < G // 2:
+        # few sampled nodes: evaluate those alone, each as j or G - j,
+        # whichever rows holds
+        marked = np.zeros(G, dtype=bool)
+        marked[sampled(slice(None))] = True
+        j = np.flatnonzero(marked)
+        f = np.where(j % P > P // 2, G - j, j)
+        magg2[j] = _set_magnitude(flat[(f % P) * M + f // P], sf, N, G, f)
     else:
-        # every node, at about the cost of one more FFT, mirrored to the grid
-        magA = np.empty(G, dtype=np.float64)
-        magA[: half + 1] = _set_magnitude(yhat, sf, N, G, np.arange(half + 1))
-        magA[half + 1 :] = magA[half - 1 : 0 : -1]
-        peak = np.empty(keep.size, dtype=np.float64)
-        chunk = (1 << 21) // PEAK_POINTS
-        for lo in range(0, keep.size, chunk):
-            part = slice(lo, lo + chunk)
-            peak[part] = magA[sampled(part)].max(axis=1)
-    mass = mass_arr[keep]
-    q_keep = q_arr[keep]
+        # every node, at about the cost of one more FFT, unfolded
+        nodes = (np.arange(M) * P + np.arange(R)[:, None]).ravel()
+        cols[...] = _set_magnitude(flat, sf, N, G, nodes).reshape(R, M).T
+        _unfold(magg2, G, M)
+    peak = np.empty(keep.size, dtype=np.float64)
+    chunk = (1 << 21) // PEAK_POINTS
+    for lo in range(0, keep.size, chunk):
+        part = slice(lo, lo + chunk)
+        peak[part] = magg2[sampled(part)].max(axis=1)
+    del j_lo, count, row, keep
     bexp = np.ceil(np.log2(sf * math.sqrt(N) / np.sqrt(mass))).astype(np.int64)
-    qexp = np.frexp(q_keep.astype(np.float64))[1] - 1  # floor(log2 q), exact
-    # partial sum of q^(-1/2) * peak * sqrt(mass): each bucket's
-    # contribution to the Cauchy-Schwarz'd arc inequality
-    score = peak * np.sqrt(mass / q_keep)
+    qexp = np.frexp(q_arr.astype(np.float64))[1] - 1  # floor(log2 q), exact
     b_min, n_q = int(bexp.min()), int(qexp.max()) + 1
     code = (bexp - b_min) * n_q + qexp  # ascending in (bexp, qexp)
-    totals = np.bincount(code, weights=score)
+    del bexp, qexp
+    # partial sum of q^(-1/2) * peak * sqrt(mass): each bucket's
+    # contribution to the Cauchy-Schwarz'd arc inequality
+    totals = np.bincount(code, weights=peak * np.sqrt(mass / q_arr))
     totals[np.bincount(code) == 0] = -np.inf
     win = int(np.argmax(totals))  # first maximum: smallest bexp, then qexp
     chosen = np.flatnonzero(code == win)  # ascending index = ascending (q, a)
-    entries = _entries(a_arr[keep[chosen]], q_keep[chosen], peak[chosen], mass[chosen])
+    entries = _entries(a_arr[chosen], q_arr[chosen], peak[chosen], mass[chosen])
     return GammaSelection(2.0 ** (win // n_q + b_min), 2.0 ** (win % n_q), entries, sigma, size)
 
 

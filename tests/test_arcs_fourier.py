@@ -13,6 +13,7 @@ from intersective_lab.arcs_fourier import (
     TorusPoint,
     arc_l2_mass,
     arc_list,
+    blocked_spectrum,
     circle_l2_mass,
     classify,
     fft_grid_size,
@@ -193,6 +194,40 @@ def test_interval_transform_nodes_rejects_bad_input():
     for nodes in ([-1], [16], [0, 3, 40]):
         with pytest.raises(ValueError, match="nodes"):
             interval_transform_nodes(3, 16, np.array(nodes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 16, 32, 64]),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 0, 0)  # G = M = 1
+@example(2, 12, 1)
+@example(64, 12, 2)
+def test_blocked_spectrum_matches_rfft(P, log_m, seed):
+    # rows[r, u] = X[P u + r] for r <= P/2, against the rfft of the
+    # zero-padded grid mirrored by X[G - j] = conj X[j]
+    M = 1 << log_m
+    G = P * M
+    rng = np.random.default_rng(seed)
+    head = rng.standard_normal(M) * (rng.random(M) < 0.5)
+    head[rng.integers(0, M + 1) :] = 0.0  # zero past some N, as the surveys pass it
+    x = np.zeros(G)
+    x[:M] = head
+    half = np.fft.rfft(x)
+    full = np.concatenate([half, np.conj(half[G - G // 2 - 1 : 0 : -1])])
+    rows = blocked_spectrum(head, G)
+    R = P // 2 + 1
+    assert rows.shape == (R, M)
+    want = full.reshape(M, P)[:, :R].T
+    assert np.allclose(rows, want, rtol=0, atol=1e-12 * max(np.abs(head).sum(), 1.0))
+
+
+def test_blocked_spectrum_rejects_bad_input():
+    for M, G in ((3, 12), (4, 12), (8, 4), (0, 4)):
+        with pytest.raises(ValueError, match="powers of two"):
+            blocked_spectrum(np.zeros(M), G)
 
 
 def test_g_hat_examples():

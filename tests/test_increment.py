@@ -13,8 +13,8 @@ from intersective_lab.hfree import HFreeInstance, greedy_h_free, is_h_free
 from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.increment import (
     _entries,
-    _power_buffer,
     _set_magnitude,
+    _unfold,
     GammaSelection,
     Increment,
     SmallFibers,
@@ -199,14 +199,20 @@ def test_select_gamma_bucket_invariants(fam_x2):
         assert math.gcd(e.a, e.q) == 1
 
 
-def test_power_buffer_matches_full_fft():
+def test_unfold_matches_full_fft():
+    # |X|^2 of a real grid with columns r <= P/2 of the (M, P) node layout
+    # filled, unfolded to the whole grid and padded
     rng = np.random.default_rng(31)
     for G in (2, 4, 16, 64, 1024):
-        for x in (rng.random(G), rng.integers(0, 2, G).astype(float) - 0.3):
+        for M in sorted({1, 2, G // 4 or 1, G}):
+            P = G // M
+            x = np.zeros(G)
+            x[:M] = rng.random(M) - 0.3
+            full = np.abs(np.fft.fft(x)) ** 2
             for pad in (0, 1, G // 2, G):
-                buf = _power_buffer(np.fft.rfft(x), pad)
-                assert buf.size == G + pad
-                full = np.abs(np.fft.fft(x)) ** 2
+                buf = np.full(G + pad, np.nan)
+                buf[:G].reshape(M, P)[:, : P // 2 + 1] = full.reshape(M, P)[:, : P // 2 + 1]
+                _unfold(buf, G, M)
                 assert np.allclose(buf[:G], full, rtol=1e-12, atol=1e-12)
                 assert np.array_equal(buf[G:], buf[:pad])
 
@@ -227,12 +233,12 @@ def test_set_magnitude_matches_indicator_fft(N, oversample, rng):
     sf = len(A) / N
     x = np.zeros(G)
     x[np.array(A) % G] = 1.0
-    want = np.abs(np.fft.rfft(x))
+    want = np.abs(np.fft.fft(x))
     x[1 : N + 1] -= sf
     if N == G:
         x[0] -= sf  # n = N sits on node 0
-    yhat = np.fft.rfft(x)
-    nodes = np.array(sorted({0, G // 2, *rng.choices(range(G // 2 + 1), k=40)}))
+    yhat = np.fft.fft(x)
+    nodes = np.array(sorted({0, G // 2, G - 1, *rng.choices(range(G), k=40)}))
     got = _set_magnitude(yhat[nodes], sf, N, G, nodes)
     assert np.allclose(got, want[nodes], rtol=0, atol=1e-12 * len(A))
 
@@ -335,7 +341,7 @@ def test_select_gamma_pinned(h, N, kappa, B, Q, expected):
 
 # (h, N, kappa, oversample, branch): the SELECT_PINS inputs, then a survey
 # whose few survivors take |1_A-hat| at their sampled nodes only, one that
-# evaluates every node of [0, G/2], and one on a grid of exactly N points
+# evaluates every node the spectrum rows hold, and one on a grid of exactly N points
 SURVEY_CASES = [(h, N, kappa, 32, None) for h, N, kappa, *_ in SELECT_PINS] + [
     (X2, 20000, 0.01, 32, "sparse"),
     (X2M1, 1000, 0.2, 32, "dense"),
@@ -355,7 +361,7 @@ def test_select_gamma_matches_two_fft_survey(h, N, kappa, oversample, branch):
     assert (sel.B, sel.Q) == (B, Q)
     assert sel.entries.a.tolist() == list(a)
     assert sel.entries.q.tolist() == list(q)
-    assert np.array_equal(sel.entries.mass, mass)
+    assert np.allclose(sel.entries.mass, mass, rtol=1e-12, atol=0)
     assert np.allclose(sel.entries.peak, peak, rtol=1e-12, atol=0)
 
 
