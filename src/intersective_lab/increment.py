@@ -208,7 +208,8 @@ def select_gamma(
     G = fft_grid_size(N, oversample)
     if G > GRID_GUARD:
         raise TooLarge(f"FFT grid of {G} points exceeds the GRID_GUARD of {GRID_GUARD}")
-    # g lives on [0, M), a block of P = G / M; n = N sits on node 0 when N = G
+    # g lives on [0, M), the first of the P = G / M blocks of the grid; n = N
+    # sits on node 0 when N = G
     M = min(G, 1 << N.bit_length())
     P = G // M
     R = P // 2 + 1
