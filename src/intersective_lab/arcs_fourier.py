@@ -17,9 +17,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import SetOutOfRange
+from .errors import SetOutOfRange, TooLarge
 
 _INT64_SAFE_Q = 3_037_000_500  # largest q with (q - 1)^2 < 2^63
+ARC_GUARD = 10**6  # arc_list: the Q(Q-1)/2 + 1 fractions a/q it tests, a bound on the arcs
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,9 @@ class ArcSpec:
     Q: float
 
     def __post_init__(self):
-        if self.N < 1 or self.K < 1 or self.Q < 1:
-            raise ValueError("ArcSpec needs N >= 1, K >= 1, Q >= 1")
+        # negated comparisons, so that NaN fails them; Q = inf is allowed
+        if self.N < 1 or not 1 <= self.K < math.inf or not self.Q >= 1:
+            raise ValueError("ArcSpec needs N >= 1, a finite K >= 1 and Q >= 1")
 
 
 def classify(gamma: TorusPoint, spec: ArcSpec) -> Optional[tuple[int, int]]:
@@ -101,7 +103,9 @@ def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
 
 def arc_list(spec: ArcSpec) -> list[tuple[int, int]]:
     """All reduced (a, q) with 1 <= a <= q <= Q; (1, 1) stands for the 0 arc."""
-    Q = math.floor(spec.Q)
+    Q = math.floor(min(spec.Q, ARC_GUARD))
+    if Q * (Q - 1) // 2 + 1 > ARC_GUARD:
+        raise TooLarge(f"Q={spec.Q} gives more than the ARC_GUARD of {ARC_GUARD} fractions a/q to list")
     out = [(1, 1)]
     for q in range(2, Q + 1):
         out.extend((a, q) for a in range(1, q) if math.gcd(a, q) == 1)

@@ -29,7 +29,7 @@ from .hfree import HFreeInstance, greedy_guard, greedy_h_free, is_h_free, max_h_
 from .increment import run_iteration
 from .intersective import AuxFamily, IntersectiveUpTo, NotIntersective, check_intersective
 from .intpoly import IntPoly
-from .residue_sieve import SieveProfile, expected_density, sieve_count
+from .residue_sieve import SieveProfile, sieve_count
 
 SCHEMA = "intersective-lab/1"
 
@@ -247,6 +247,16 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _cutoff(text: str) -> str | float:
+    """argparse type for expsum-scan --Y: 'all' or a float ('inf' included)."""
+    if text == "all":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid cutoff: {text!r} (use a number or 'all')") from None
+
+
 def _threads_default() -> int:
     env = os.environ.get("INTERSECTIVE_LAB_THREADS")
     try:
@@ -307,7 +317,7 @@ def _cmd_sieve(args) -> Report:
     fam = _family(args)
     g = fam.aux_poly(args.d)
     prof = SieveProfile.build(g, args.Y)
-    sc = sieve_count(prof, args.X, method=args.method)
+    sc = sieve_count(prof, args.X)
     rows = [
         {"p": p, "gamma": pd.gamma, "modulus": pd.modulus, "j": pd.j}
         for p, pd in sorted(prof.per_prime.items())
@@ -323,7 +333,7 @@ def _cmd_sieve(args) -> Report:
             "rel_error": sc.rel_error,
             "method": sc.method,
             "period": sc.period,
-            "density": expected_density(prof),
+            "density": sc.density,
         },
         csv_rows=rows,
     )
@@ -331,7 +341,7 @@ def _cmd_sieve(args) -> Report:
 
 def _cmd_expsum_scan(args) -> Report:
     g = parse_poly(args.poly)
-    Y = None if args.Y == "all" else float(args.Y)
+    Y = None if args.Y == "all" else args.Y
     rows = cancellation_scan(g, args.q_max, Y, squarefree_only=args.squarefree)
     # q, omega, max_abs, ratio_sqrt, ratio_weyl, admissible: flat fields, so no deep copy
     table = [dict(vars(r)) for r in rows]
@@ -478,13 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--Y", type=float, required=True)
     p.add_argument("--X", type=_positive_int, required=True)
-    p.add_argument("--method", choices=["auto", "wheel", "mark", "loop"], default="auto")
     p.set_defaults(handler=_cmd_sieve)
 
     p = sub.add_parser("expsum-scan", help="max_a |S(a,q)| cancellation table")
     common(p)
     p.add_argument("--q-max", type=_positive_int, required=True)
-    p.add_argument("--Y", default="all", help="sieve cutoff, or 'all' for all p <= q")
+    p.add_argument("--Y", type=_cutoff, default="all", help="sieve cutoff, or 'all' for all p <= q")
     p.add_argument("--squarefree", action="store_true")
     p.set_defaults(handler=_cmd_expsum_scan)
 

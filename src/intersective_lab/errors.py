@@ -18,12 +18,16 @@ class NonIntegralQuotient(ValueError):
 
 
 class PrimeOutOfRange(ValueError):
-    """d has a prime factor beyond the family's precomputed bound."""
+    """d has a prime factor beyond the family's precomputed bound.
+
+    p is that prime, or the part of d left after dividing out the primes up
+    to the bound, which may be composite.
+    """
 
     def __init__(self, p: int, bound: int):
         self.p = p
         self.bound = bound
-        super().__init__(f"prime factor {p} exceeds the family bound {bound}")
+        super().__init__(f"every prime factor of {p} exceeds the family bound {bound}")
 
 
 class LiftAmbiguous(ValueError):

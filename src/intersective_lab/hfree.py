@@ -122,26 +122,11 @@ def max_h_free_exact(
     N = inst.N
     if N > limit:
         raise TooLarge(f"N={N} exceeds the exact-solver limit {limit}")
-    forb = set(inst.forbidden)
-    adj = [0] * (N + 1)  # adj[v]: bitmask of neighbors, bit u-1 <-> vertex u
-    for v in range(1, N + 1):
-        m = 0
-        for u in range(1, N + 1):
-            if u != v and abs(u - v) in forb:
-                m |= 1 << (u - 1)
-        adj[v] = m
-    order = sorted(range(1, N + 1), key=lambda v: (-adj[v].bit_count(), v))
+    # the neighbors of v are v - f and v + f inside [1, N], f forbidden
+    nbrs = [[u for f in inst.forbidden for u in (v - f, v + f) if 1 <= u <= N] for v in range(N + 1)]
+    order = sorted(range(1, N + 1), key=lambda v: (-len(nbrs[v]), v))
     pos = {v: i for i, v in enumerate(order)}
-    padj = [0] * N
-    for v in range(1, N + 1):
-        m = 0
-        u_mask = adj[v]
-        while u_mask:
-            low = u_mask & -u_mask
-            u = low.bit_length()
-            m |= 1 << pos[u]
-            u_mask ^= low
-        padj[pos[v]] = m
+    padj = [sum(1 << pos[u] for u in nbrs[v]) for v in order]
 
     greedy = greedy_h_free(inst)
     best_size = len(greedy)

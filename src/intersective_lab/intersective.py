@@ -34,11 +34,11 @@ from .errors import (
 from .intpoly import IntPoly
 from .numutil import (
     crt,
-    factorize,
     padic_valuation,
     primes_up_to,
     roots_mod,
     roots_mod_primes,
+    trial_divide,
     values_mod,
 )
 
@@ -413,7 +413,7 @@ def check_intersective(h: IntPoly, B: int) -> IntersectivityVerdict:
         for p in chunk:
             if p > best_witness:
                 break
-            chosen = _chosen_root(h, p, batch=batch)
+            chosen = batch[p] if p in batch else _chosen_root(h, p)
             if chosen is not None:
                 roots[p] = chosen
             else:
@@ -423,19 +423,24 @@ def check_intersective(h: IntPoly, B: int) -> IntersectivityVerdict:
     return IntersectiveUpTo(B, roots)
 
 
-def _precision_one_roots(h: IntPoly, primes: list[int]) -> dict[int, list[PAdicRootData]]:
-    """hensel_roots(h, p, 1) for primes p dividing neither a_k nor any Res(g_i, g_i').
+def _precision_one_roots(h: IntPoly, primes: list[int]) -> dict[int, PAdicRootData | None]:
+    """_chosen_root(h, p) for primes p dividing neither a_k nor any Res(g_i, g_i').
 
-    There every root mod p of a squarefree factor g_i is simple, so the list
-    holds the roots mod p of the g_i, each with the largest multiplicity i
-    among the factors it is a root of: one roots_mod_primes batch per factor.
-    Yun's factors come in increasing multiplicity, so a later one overwrites.
+    There every root mod p of a squarefree factor g_i is simple and has
+    multiplicity i, the largest among the factors it is a root of, so the
+    chosen root is the least root mod p of the highest-multiplicity factor
+    with a root there.  The factors are walked from the top, one
+    roots_mod_primes batch each over the primes still undecided.
     """
-    found: dict[int, dict[int, int]] = {p: {} for p in primes}
-    for f in _squarefree_decomposition(h.coeffs):
-        for p, rs in zip(primes, roots_mod_primes(f.g.coeffs, primes)):
-            found[p].update(dict.fromkeys(rs, f.mult))
-    return {p: [PAdicRootData(p, r, 1, m) for r, m in sorted(rm.items())] for p, rm in found.items()}
+    chosen: dict[int, PAdicRootData | None] = dict.fromkeys(primes)
+    pending = primes
+    for f in reversed(_squarefree_decomposition(h.coeffs)):
+        found = roots_mod_primes(f.g.coeffs, pending)
+        for p, rs in zip(pending, found):
+            if rs:
+                chosen[p] = PAdicRootData(p, rs[0], 1, f.mult)
+        pending = [p for p, rs in zip(pending, found) if not rs]
+    return chosen
 
 
 def _select_root(cands: list[PAdicRootData], p: int, prec: int) -> PAdicRootData:
@@ -449,15 +454,12 @@ def _select_root(cands: list[PAdicRootData], p: int, prec: int) -> PAdicRootData
     return min(cands, key=lambda rd: (-rd.multiplicity, [rd.residue // p**i % p for i in range(prec)]))
 
 
-def _chosen_root(h: IntPoly, p: int, min_prec=1, selector=_select_root, batch=None) -> PAdicRootData | None:
-    """The selector's pick among hensel_roots(h, p, prec), prec = max(min_prec, e_p),
-    or None when h has no Z_p root.  `batch` may hold those lists for prec 1
-    (from _precision_one_roots).
-    """
+def _chosen_root(h: IntPoly, p: int, min_prec: int = 1) -> PAdicRootData | None:
+    """The _select_root pick among hensel_roots(h, p, prec), prec = max(min_prec, e_p),
+    or None when h has no Z_p root."""
     prec = max(min_prec, default_precision(h, p))
-    cands = batch.get(p) if batch and prec == 1 else None
-    cands = hensel_roots(h, p, prec) if cands is None else cands
-    return selector(cands, p, prec) if cands else None
+    cands = hensel_roots(h, p, prec)
+    return _select_root(cands, p, prec) if cands else None
 
 
 # ----------------------------------------------------------------------
@@ -479,21 +481,15 @@ class AuxFamily:
     Root data is materialized lazily per prime (up to `bound`) and the d
     memo fills on demand.  h is negated on construction if its leading
     coefficient is negative (`negated` records this).
-
-    Downstream quantities (r_d, h_d, the sieve data) depend on which z_p is
-    fixed per prime; `selector` exposes that choice for cross-comparison.
-    A custom selector must be coherent across precisions (pick truncations
-    of one fixed Z_p root), as the default is.
     """
 
-    def __init__(self, h: IntPoly, bound: int = 1000, selector=None):
+    def __init__(self, h: IntPoly, bound: int = 1000):
         if h.degree() < 1:
             raise ValueError("AuxFamily needs a nonconstant polynomial")
         self.negated = h.leading() < 0
         self.h = h.neg() if self.negated else h
         self.bound = bound
         self.k = self.h.degree()
-        self._selector = selector or _select_root
         self._roots: dict[int, PAdicRootData] = {}
         self._memo: dict[int, AuxRecord] = {}
 
@@ -506,7 +502,7 @@ class AuxFamily:
         cur = self._roots.get(p)
         if cur is not None and cur.prec >= min_prec:
             return cur
-        chosen = _chosen_root(self.h, p, min_prec, self._selector)
+        chosen = _chosen_root(self.h, p, min_prec)
         if chosen is None:
             raise NotIntersectiveError(f"{self.h!r} has no {p}-adic root; not intersective")
         self._roots[p] = chosen
@@ -525,23 +521,25 @@ class AuxFamily:
 
     # -- lambda, r_d, h_d ------------------------------------------------------
 
-    def lambda_of(self, d: int) -> int:
-        """lambda(d) = prod p^(alpha * m_p) over p^alpha || d."""
+    def _factorize(self, d: int) -> list[tuple[int, int]]:
+        """p^alpha || d, found by trial division with the primes up to bound only."""
         if d < 1:
             raise ValueError("d must be >= 1")
+        pairs, rest = trial_divide(d, self.bound)
+        if rest > 1:
+            raise PrimeOutOfRange(rest, self.bound)
+        return pairs
+
+    def lambda_of(self, d: int) -> int:
+        """lambda(d) = prod p^(alpha * m_p) over p^alpha || d."""
         lam = 1
-        for p, a in factorize(d):
+        for p, a in self._factorize(d):
             lam *= p ** (a * self.multiplicity(p))
         return lam
 
     def r_of(self, d: int) -> int:
         """The unique r in (-d, 0] with r = z_p (mod p^alpha) for p^alpha || d."""
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if d == 1:
-            return 0
-        pairs = [(self.root_residue(p, a), p**a) for p, a in factorize(d)]
-        x, _ = crt(pairs)
+        x, _ = crt([(self.root_residue(p, a), p**a) for p, a in self._factorize(d)])
         return x - d if x > 0 else x
 
     def aux_record(self, d: int) -> AuxRecord:

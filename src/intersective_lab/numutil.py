@@ -288,13 +288,14 @@ def _divide(f: np.ndarray, df: np.ndarray, g: np.ndarray, dg: np.ndarray, pc: np
     return q
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (p, exponent) pairs, p ascending."""
+def trial_divide(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+    """Split n >= 1 by the primes up to limit: the (p, exponent) pairs of
+    those primes, p ascending, and the cofactor, which has none of them."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out = []
     d = 2
-    while d * d <= n:
+    while d <= limit and d * d <= n:
         e = 0
         while n % d == 0:
             e += 1
@@ -302,9 +303,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
         if e:
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
+    # a cofactor in (1, limit] has no factor below d, and d * d > it: a prime
+    if 1 < n <= limit:
         out.append((n, 1))
-    return out
+        n = 1
+    return out, n
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as (p, exponent) pairs, p ascending."""
+    return trial_divide(n, n)[0]
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

@@ -25,9 +25,8 @@ from .errors import TooLarge, ZeroDerivative
 from .intpoly import IntPoly
 from .numutil import padic_valuation, primes_up_to, roots_mod, roots_mod_primes
 
-WHEEL_CAP = 10**8
+WHEEL_CAP = 10**8  # L: the flags [0, L) of one wheel period
 MARK_GUARD = 10**8  # X: the flags [0, X] of one mark segment
-LOOP_GUARD = 10**8  # X times the number of primes: the membership tests of method loop
 
 
 def fixed_divisor(f: IntPoly) -> int:
@@ -149,20 +148,16 @@ class SieveCount:
     rel_error: float
     method: str
     period: int
+    density: float  # w(Y), so main_term = X * density
 
 
-def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCount:
+def sieve_count(profile: SieveProfile, X: int) -> SieveCount:
     """Exact |[1, X] cap W(g; Y)| with the main term X * w(Y).
 
-    Methods:
-      wheel -- admissibility per residue class over one full period L
-               (needs L <= min(X, 1e8)); full periods times X // L plus the
-               boundary segment.
-      mark  -- boolean segment over [1, X], bad residues struck per prime
-               (the per-prime filtering used when L is out of reach; needs
-               X <= MARK_GUARD).
-      loop  -- literal per-n membership loop; slow oracle path (needs
-               X times the number of primes <= LOOP_GUARD).
+    When the period L = prod p^gamma is at most min(X, WHEEL_CAP), method
+    wheel sieves one period and counts X // L full periods plus the boundary
+    segment; otherwise method mark sieves the segment [1, X] itself, which
+    MARK_GUARD bounds.
     """
     Y = profile.Y
     if Y > math.e and math.log(X) < math.log(Y) * math.log(math.log(Y)):
@@ -172,27 +167,17 @@ def sieve_count(profile: SieveProfile, X: int, method: str = "auto") -> SieveCou
             stacklevel=2,
         )
     L = profile.period()
-    if method == "auto":
-        method = "wheel" if L <= min(X, WHEEL_CAP) else "mark"
-    if method == "wheel":
-        if L > min(X, WHEEL_CAP):
-            raise ValueError(f"wheel needs period L={L} <= min(X, {WHEEL_CAP})")
+    if L <= min(X, WHEEL_CAP):
+        method = "wheel"
         adm = profile.mask(L)
         full, rem = divmod(X, L)
         count = full * int(adm.sum()) + int(adm[1 : rem + 1].sum())
-    elif method == "mark":
+    else:
+        method = "mark"
         if X > MARK_GUARD:
             raise TooLarge(f"X={X} exceeds the MARK_GUARD of {MARK_GUARD} for method mark")
         count = int(profile.mask(X + 1)[1:].sum())
-    elif method == "loop":
-        if X * max(1, len(profile.per_prime)) > LOOP_GUARD:
-            raise TooLarge(
-                f"X={X} with {len(profile.per_prime)} primes exceeds the LOOP_GUARD of "
-                f"{LOOP_GUARD} membership tests for method loop"
-            )
-        count = sum(1 for n in range(1, X + 1) if profile.in_W(n))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    main = X * expected_density(profile)
+    w = expected_density(profile)
+    main = X * w
     rel = abs(count - main) / main if main > 0 else math.inf
-    return SieveCount(count, main, rel, method, L)
+    return SieveCount(count, main, rel, method, L, w)

@@ -94,12 +94,12 @@ def test_criterion_05_sieve_main_term():
     X = 10**6
     for d in (1, 6, 30):
         prof = SieveProfile.build(fam.aux_poly(d), 50)
-        marked = sieve_count(prof, X, method="mark")
-        looped = sieve_count(prof, X, method="loop")
-        assert marked.count == looped.count, d
+        marked = sieve_count(prof, X)
+        looped = sum(1 for n in range(1, X + 1) if prof.in_W(n))
+        assert marked.method == "mark" and marked.count == looped, d
         assert marked.rel_error <= 0.05, (d, marked.rel_error)
     assert time.perf_counter() - t0 < 60
-    report(5, "sieve count (two methods agree) within 5% of X*w_d(50), d in {1,6,30}", t0)
+    report(5, "sieve count (mark and the membership loop agree) within 5% of X*w_d(50), d in {1,6,30}", t0)
 
 
 def test_criterion_06_sqrt_cancellation():
@@ -338,7 +338,7 @@ def test_criterion_14_determinism(tmp_path):
     t0 = time.perf_counter()
     runs = {
         "sieve": ["sieve", "--poly", "x^3+x^2-2x", "--d", "6", "--Y", "50",
-                  "--X", "1000000", "--method", "mark"],
+                  "--X", "1000000"],
         "scan": ["expsum-scan", "--poly", "x^3", "--q-max", "2000", "--Y", "2000",
                  "--squarefree"],
         "increment": ["increment", "--poly", "x^2-1", "--N", "1500",

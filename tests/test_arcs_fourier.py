@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersective_lab.arcs_fourier import (
+    ARC_GUARD,
     ArcSpec,
     TorusPoint,
     arc_l2_mass,
@@ -23,7 +24,7 @@ from intersective_lab.arcs_fourier import (
     interval_transform_nodes,
     parseval_total,
 )
-from intersective_lab.errors import SetOutOfRange
+from intersective_lab.errors import SetOutOfRange, TooLarge
 
 
 def brute_classify(gamma, spec):
@@ -354,3 +355,18 @@ def test_arcspec_validation():
         ArcSpec(100, 0.5, 4)
     with pytest.raises(ValueError):
         ArcSpec(100, 2, 0.2)
+    for K, Q in ((math.inf, 3), (math.nan, 3), (2, math.nan)):
+        with pytest.raises(ValueError, match="a finite K"):
+            ArcSpec(100, K, Q)
+    # Q = inf leaves every denominator to classify
+    assert classify(TorusPoint.rational(1, 3), ArcSpec(100, 2, math.inf)) == (1, 3)
+
+
+def test_arc_guard():
+    # Q(Q-1)/2 + 1 fractions a/q are tested; the guard acts before any is
+    Q = (1 + math.isqrt(8 * ARC_GUARD - 7)) // 2
+    assert Q * (Q - 1) // 2 + 1 <= ARC_GUARD < (Q + 1) * Q // 2 + 1
+    assert len(arc_list(ArcSpec(10, 1, Q + 0.5))) <= ARC_GUARD
+    for big in (Q + 1, 1e300, math.inf):
+        with pytest.raises(TooLarge, match="ARC_GUARD"):
+            arc_list(ArcSpec(10, 1, big))

@@ -118,6 +118,15 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert "grammar" in err
     # domain error: nesting with prime out of range
     assert main(["aux", "--poly", "x^2", "--d", "101", "--bound", "50"]) == 1
+    # a malformed cutoff is a usage error; 'inf' reaches the prime guard
+    with pytest.raises(SystemExit) as ei:
+        main(["expsum-scan", "--poly", "x^3", "--q-max", "10", "--Y", "abc"])
+    assert ei.value.code == 2
+    assert "invalid cutoff: 'abc'" in capsys.readouterr().err
+    # the sieve method is decided from the period, not by an option
+    with pytest.raises(SystemExit) as ei:
+        main(["sieve", "--poly", "x^2", "--Y", "10", "--X", "100", "--method", "mark"])
+    assert ei.value.code == 2
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
@@ -280,10 +289,15 @@ def test_energy_work_guard_is_quick(tmp_path, capsys, flags, bound):
         (["check-intersective", "--poly", "x^2+x+1", "--bound", "1000000000000"], "PRIME_GUARD"),
         (["sieve", "--poly", "x^2", "--Y", "inf", "--X", "100"], "PRIME_GUARD"),
         (["expsum-scan", "--poly", "x^3", "--q-max", "10", "--Y", "inf"], "PRIME_GUARD"),
-        (["sieve", "--poly", "x^2", "--Y", "10", "--X", "1000000000000", "--method", "loop"], "LOOP_GUARD"),
+        (["arcs", "--N", "10", "--K", "1", "--Q", "inf"], "ARC_GUARD"),
         # h = x: building the forbidden differences alone would visit [1, N]
         (["maxset", "--poly", "x", "--N", "3000000"], "GREEDY_GUARD"),
         (["increment", "--poly", "x^2", "--N", "100000000", "--set", "mod:5:1"], "GREEDY_GUARD"),
+        # arc_list would test Q(Q-1)/2 fractions a/q
+        (["arcs", "--N", "10", "--K", "1", "--Q", "3000"], "ARC_GUARD"),
+        (["arcs", "--N", "10", "--K", "1", "--Q", "1e300"], "ARC_GUARD"),
+        (["arcs", "--N", "10", "--K", "inf", "--Q", "3", "--gamma", "1/3"], "a finite K"),
+        (["arcs", "--N", "10", "--K", "nan", "--Q", "3"], "a finite K"),
     ],
 )
 def test_work_guards_give_one_line_and_exit_1(tmp_path, capsys, argv, guard):
@@ -303,6 +317,16 @@ def test_check_intersective_with_a_huge_constant_term(tmp_path):
     assert main(["check-intersective", "--poly", "x^2-200000000000000000000", "--bound", "100", "--out", str(out)]) == 0
     assert time.perf_counter() - t0 < 2
     assert json.loads(out.read_text())["result"] == {"verdict": "not_intersective", "witness": 3}
+
+
+def test_aux_refuses_a_large_prime_d_without_factoring_it(tmp_path, capsys):
+    # trial division of the prime d = 1e15 + 37 would run to 3.2e7
+    t0 = time.perf_counter()
+    assert main(["aux", "--poly", "x^2", "--d", "1000000000000037", "--out", str(tmp_path / "r.json")]) == 1
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert err == "error: every prime factor of 1000000000000037 exceeds the family bound 1000\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_check_intersective_with_a_squared_factor(tmp_path):

@@ -127,6 +127,21 @@ def test_exact_against_brute_force_small():
             assert is_h_free(witness, inst) is None
 
 
+@pytest.mark.parametrize(
+    "coeffs, witness",
+    [
+        ((0, 0, 1), [1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 35, 40]),
+        ((-1, 0, 1), [2, 4, 9, 11, 13, 15, 20, 22, 27, 29, 31, 36, 38, 40]),
+        ((0, 0, 0, 1), [1, 3, 5, 8, 10, 12, 15, 17, 19, 22, 24, 26, 29, 31, 33, 36, 38, 40]),
+        ((0, -2, 1, 1), [1, 2, 3, 4, 7, 8, 13, 14, 17, 18, 19, 20, 23, 24, 29, 30, 35, 36, 39, 40]),
+    ],
+)
+def test_exact_witness_is_pinned(coeffs, witness):
+    # the vertex order (degree, then value) and the branch order fix which
+    # maximum set is returned; these are the sets at N = 40
+    assert max_h_free_exact(HFreeInstance.build(IntPoly(coeffs), 40)) == (len(witness), witness)
+
+
 def test_greedy_at_most_exact():
     for h in (X2, X2M1, X2PX):
         for N in (8, 14, 20):

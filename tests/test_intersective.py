@@ -212,6 +212,9 @@ def test_prime_out_of_range():
         fam.lambda_of(22)  # 11 > 10
     with pytest.raises(PrimeOutOfRange):
         fam.r_of(13)
+    # d is divided by the primes up to the bound only; what is left may be composite
+    with pytest.raises(PrimeOutOfRange, match=f"every prime factor of {11 * 13} exceeds"):
+        fam.lambda_of(2 * 11 * 13)
 
 
 def test_negative_leading_coefficient_normalized():
@@ -235,21 +238,15 @@ def test_root_choice_coherent_across_precision():
     assert high % 13 == low
 
 
-def test_cross_choice_selector():
-    # picking the other Z_p root of x^2 - 1 gives a different but equally
-    # valid family: r_d flips, h_d stays integral, nesting still holds
-    def largest_root(cands, p, prec):
-        return max(cands, key=lambda rd: (rd.multiplicity, rd.residue))
-
+def test_default_root_choice_on_x2_minus_1():
+    # z_p = 1 at p = 2, 3: the least residue, both roots being simple
     default = AuxFamily(X2M1, bound=100)
-    alt = AuxFamily(X2M1, bound=100, selector=largest_root)
     assert default.r_of(6) == -5
-    assert alt.r_of(6) == -1  # z_p = -1 at p = 2, 3
-    got = alt.aux_poly(6)
-    assert got.coeffs == (0, -2, 6)  # (6x-1)^2 - 1 = 36x^2 - 12x, over 6
+    got = default.aux_poly(6)
+    assert got.coeffs == (4, -10, 6)  # (6x-5)^2 - 1 = 36x^2 - 60x + 24, over 6
     for x in range(1, 30):
-        assert 6 * got.evaluate(x) == X2M1.evaluate(-1 + 6 * x)
-    assert -6 < alt.verify_nesting(1, 6, 30) <= 0
+        assert 6 * got.evaluate(x) == X2M1.evaluate(-5 + 6 * x)
+    assert -6 < default.verify_nesting(1, 6, 30) <= 0
 
 
 def literal_lift(g, p, roots, j):
@@ -475,7 +472,7 @@ def test_check_intersective_matches_prime_loop(f1, m, f2, c, B, kernel):
 )
 def test_precision_one_batch_matches_hensel_roots(f1, m, f2, B, kernel):
     # at the primes dividing neither a_k nor any Res(g_i, g_i') the batch
-    # is what hensel_roots gives at precision 1, multiplicities included
+    # holds the choice among what hensel_roots gives at precision 1
     h = f1
     for _ in range(m - 1):
         h = poly_mul(h, f1)
@@ -487,7 +484,9 @@ def test_precision_one_batch_matches_hensel_roots(f1, m, f2, B, kernel):
             mp.setattr(numutil, "SCAN_WORK", -1)
         batch = _precision_one_roots(h, good)
     assert list(batch) == good
-    assert [batch[p] for p in good] == [hensel_roots(h, p, 1) for p in good]
+    for p in good:
+        cands = hensel_roots(h, p, 1)
+        assert batch[p] == (_select_root(cands, p, 1) if cands else None)
 
 
 @pytest.mark.parametrize("p, q", [(13, 17), (29, 53), (3, 7), (3, 19)])

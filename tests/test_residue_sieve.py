@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective_lab import numutil
+from intersective_lab import numutil, residue_sieve
 from intersective_lab.errors import TooLarge, ZeroDerivative
 from intersective_lab.intpoly import IntPoly
 from intersective_lab.numutil import PRIME_GUARD, padic_valuation, primes_up_to
 from intersective_lab.residue_sieve import (
-    LOOP_GUARD,
     MARK_GUARD,
     PrimeData,
     SieveProfile,
@@ -109,25 +108,53 @@ def test_expected_density():
     assert expected_density(SieveProfile.build(X2M1, 5), exact=True) == Fraction(4, 15)
 
 
+sieve_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=5).filter(
+    lambda cs: any(cs[1:])
+)
+
+
+def loop_count(prof, X):
+    """|[1, X] cap W|: the literal membership loop, the oracle of sieve_count."""
+    return sum(1 for n in range(1, X + 1) if prof.in_W(n))
+
+
 def test_sieve_count_exhaustive_example():
     prof = SieveProfile.build(X2, 3)
-    for method in ("wheel", "mark", "loop"):
-        sc = sieve_count(prof, 12, method=method)
-        assert sc.count == 4
-        assert sc.rel_error == 0.0
+    sc = sieve_count(prof, 12)
+    assert (sc.count, sc.rel_error, sc.method, sc.period) == (4, 0.0, "wheel", 12)
+    assert loop_count(prof, 12) == 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_sieve, "WHEEL_CAP", 0)
+        sc = sieve_count(prof, 12)
+    assert (sc.count, sc.rel_error, sc.method) == (4, 0.0, "mark")
     empty = SieveProfile.build(X2, 1.0)
-    assert sieve_count(empty, 100, method="mark").count == 100
+    assert sieve_count(empty, 100).count == 100
 
 
 def test_sieve_methods_agree():
-    rng = random.Random(5)
     for g in (X2, X3, X2M1):
         prof = SieveProfile.build(g, 13)
         for X in (50, 377, 1000):
-            counts = {m: sieve_count(prof, X, method=m).count for m in ("mark", "loop")}
-            if prof.period() <= X:
-                counts["wheel"] = sieve_count(prof, X, method="wheel").count
-            assert len(set(counts.values())) == 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(residue_sieve, "WHEEL_CAP", 0)
+                marked = sieve_count(prof, X)
+            assert marked.method == "mark"
+            assert marked.count == loop_count(prof, X)
+            # the periods, 60060 and 90090, lie above every X here
+            assert sieve_count(prof, X) == marked
+
+
+@pytest.mark.filterwarnings("ignore:X=.* is small for Y=:UserWarning")  # small X is asked for here
+@settings(max_examples=60, deadline=None)
+@given(sieve_polys, st.integers(0, 8), st.integers(1, 3000))
+def test_sieve_count_matches_loop(coeffs, Y, X):
+    # wheel exactly when the period L <= X; the density is w(Y) as a float
+    prof = SieveProfile.build(IntPoly(coeffs), Y)
+    sc = sieve_count(prof, X)
+    assert sc.method == ("wheel" if prof.period() <= X else "mark")
+    assert sc.count == loop_count(prof, X)
+    assert sc.density == expected_density(prof)
+    assert sc.main_term == X * sc.density
 
 
 def test_periodicity():
@@ -168,12 +195,7 @@ def test_exact_density_times_period_is_period_count():
 def test_small_X_warns():
     prof = SieveProfile.build(X3, 50)
     with pytest.warns(UserWarning):
-        sieve_count(prof, 30, method="mark")
-
-
-sieve_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=5).filter(
-    lambda cs: any(cs[1:])
-)
+        sieve_count(prof, 30)
 
 
 @settings(max_examples=80, deadline=None)
@@ -202,7 +224,7 @@ def test_prime_and_mark_guards_sit_above_targets():
     prof = SieveProfile.build(IntPoly([0, -2, 1, 1]), 30)
     assert prof.period() > MARK_GUARD + 1
     with pytest.raises(TooLarge, match="MARK_GUARD"):
-        sieve_count(prof, MARK_GUARD + 1, method="mark")
+        sieve_count(prof, MARK_GUARD + 1)
 
 
 def literal_build(g, Y):
@@ -243,12 +265,3 @@ def test_build_matches_per_prime_scan_past_scan_work(coeffs):
     g = IntPoly(coeffs)
     assert sum(primes_up_to(3000)) * (len(coeffs) - 1) > numutil.SCAN_WORK
     assert SieveProfile.build(g, 3000).per_prime == literal_build(g, 3000)
-
-
-def test_loop_guard():
-    prof = SieveProfile.build(X2, 10)
-    with pytest.raises(TooLarge, match="LOOP_GUARD"):
-        sieve_count(prof, LOOP_GUARD // 4 + 1, method="loop")
-    # no primes at all still counts as one membership test per n
-    with pytest.raises(TooLarge, match="LOOP_GUARD"):
-        sieve_count(SieveProfile.build(X2, 1), LOOP_GUARD + 1, method="loop")
