@@ -8,12 +8,10 @@ __version__ = "0.1.0"
 from .arcs_fourier import (
     ArcSpec,
     TorusPoint,
-    arc_l2_mass,
     arc_list,
     circle_l2_mass,
     classify,
     fourier_set,
-    g_hat,
     parseval_total,
 )
 from .energy import FreqSet, additive_energy, ch_check, newbm_check

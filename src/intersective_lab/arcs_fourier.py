@@ -9,7 +9,6 @@ total L^2 mass is |A| (1 - sigma).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,23 +135,13 @@ def fourier_set(A: Iterable[int], gamma: TorusPoint) -> complex:
     return complex(math.fsum(np.cos(turns).tolist()), math.fsum(np.sin(turns).tolist()))
 
 
-def interval_transform(N: int, gamma: TorusPoint) -> complex:
-    """sum_{n=1}^{N} e(n gamma) in closed form (geometric / Dirichlet kernel)."""
-    v = gamma.value()
-    if v == 0.0:
-        return complex(N)
-    s = math.sin(math.pi * v)
-    ratio = math.sin(math.pi * N * v) / s
-    return cmath.exp(1j * math.pi * (N + 1) * v) * ratio
-
-
 _NODE_BLOCK = 1 << 14  # nodes per block of interval_transform_nodes
 
 
 def interval_transform_nodes(N: int, G: int, nodes: np.ndarray) -> np.ndarray:
     """sum_{n=1}^{N} e(-n j / G) at integer nodes 0 <= j < G, G a power of two.
 
-    The conjugate of interval_transform(N, j / G), as
+    The conjugate of the Dirichlet kernel at j / G, as
     (E(j) - E((2N + 1) j)) / (2i sin(pi j / G)) with E(k) = e^(-i pi k / G).
     Each k is reduced exactly mod 2G and E(k) read from a two-level table,
     t_hi[k >> s] * t_lo[k mod 2^s] with 2^s about sqrt(2G), so no node pays
@@ -214,54 +203,6 @@ def blocked_spectrum(head: np.ndarray, G: int) -> np.ndarray:
     np.multiply(t_hi[:, :, None], t_lo[:, None, :], out=z.reshape(R, -1, 1 << s))
     z *= head
     return np.fft.fft(z, axis=1)
-
-
-def g_hat(A: Iterable[int], N: int, gamma: TorusPoint) -> complex:
-    """Fourier transform of g = 1_A - sigma 1_[N] at gamma."""
-    elems = sorted(set(A))
-    if elems and (elems[0] < 1 or elems[-1] > N):
-        raise SetOutOfRange(f"A must lie in [1, {N}]")
-    sigma = len(elems) / N
-    return fourier_set(elems, gamma) - sigma * interval_transform(N, gamma)
-
-
-def _g_hat_grid(A: np.ndarray, N: int, nodes: np.ndarray) -> np.ndarray:
-    """|g-hat| at an array of float torus points (vectorized, node-chunked)."""
-    phase = np.empty(nodes.size, dtype=np.complex128)
-    chunk = max(1, (1 << 22) // max(1, A.size))
-    for lo in range(0, nodes.size, chunk):
-        blk = nodes[lo : lo + chunk]
-        phase[lo : lo + blk.size] = np.exp(2j * np.pi * np.outer(blk, A)).sum(axis=1)
-    v = np.mod(nodes, 1.0)
-    s = np.sin(np.pi * v)
-    safe = np.where(s == 0.0, 1.0, s)
-    ratio = np.sin(np.pi * N * v) / safe
-    interval = np.exp(1j * np.pi * (N + 1) * v) * ratio
-    interval = np.where(v == 0.0, complex(N), interval)
-    sigma = len(A) / N
-    return np.abs(phase - sigma * interval)
-
-
-def arc_l2_mass(
-    A: Iterable[int], N: int, a: int, q: int, K: float, oversample: int = 32
-) -> float:
-    """Trapezoid quadrature of |g-hat|^2 over [a/q - K/N, a/q + K/N].
-
-    oversample * ceil(2K) + 1 uniform nodes; g-hat is a trigonometric
-    polynomial of degree <= N, so node spacing <= 1/(oversample*N) controls
-    the error.
-    """
-    if math.gcd(a, q) != 1:
-        raise ValueError("a/q must be reduced")
-    elems = np.array(sorted(set(A)), dtype=np.int64)
-    if elems.size and (elems[0] < 1 or elems[-1] > N):
-        raise SetOutOfRange(f"A must lie in [1, {N}]")
-    n_nodes = oversample * math.ceil(2 * K) + 1
-    c = a / q
-    nodes = np.linspace(c - K / N, c + K / N, n_nodes)
-    vals = _g_hat_grid(elems, N, nodes) ** 2
-    step = (nodes[-1] - nodes[0]) / (n_nodes - 1)
-    return float((vals.sum() - 0.5 * (vals[0] + vals[-1])) * step)
 
 
 def fft_grid_size(N: int, oversample: float) -> int:

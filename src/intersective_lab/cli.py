@@ -25,7 +25,7 @@ from .arcs_fourier import ArcSpec, TorusPoint, arc_list, classify
 from .energy import FreqSet, additive_energy, newbm_check
 from .errors import PolyParseError
 from .expsum import cancellation_scan, fitted_C, main_term_check
-from .hfree import HFreeInstance, greedy_guard, greedy_h_free, is_h_free, max_h_free_exact
+from .hfree import EXACT_LIMIT, HFreeInstance, greedy_guard, greedy_h_free, is_h_free, max_h_free_exact
 from .increment import run_iteration
 from .intersective import AuxFamily, IntersectiveUpTo, NotIntersective, check_intersective
 from .intpoly import IntPoly
@@ -379,7 +379,7 @@ def _cmd_arcs(args) -> Report:
             return Report({"classification": "minor"})
         return Report({"classification": "major", "a": cls[0], "q": cls[1]})
     arcs = arc_list(spec)
-    rows = [{"a": a, "q": q} for a, q in arcs]
+    rows = [{"a": a, "q": q} for a, q in arcs] if args.csv else None
     return Report({"count": len(arcs)}, csv_rows=rows)
 
 
@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--limit", type=int, default=60)
+    p.add_argument("--limit", type=int, default=EXACT_LIMIT)
     p.set_defaults(handler=_cmd_maxset)
 
     p = sub.add_parser("increment", help="run the density-increment iteration")

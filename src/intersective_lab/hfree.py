@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SetOutOfRange, TooLarge
 from .intpoly import IntPoly
 
-EXACT_LIMIT = 60
+EXACT_LIMIT = 80  # N: maxset --exact takes about a second at N = 80
 GREEDY_GUARD = 10**6  # N: the positions one greedy scan visits
 
 
@@ -113,41 +113,85 @@ def greedy_h_free(inst: HFreeInstance) -> list[int]:
 def max_h_free_exact(
     inst: HFreeInstance, limit: int = EXACT_LIMIT
 ) -> tuple[int, list[int]]:
-    """Maximum h-free subset of [1, N] as a maximum independent set.
+    """Exact maximum h-free subset of [1, N]: its size and the
+    lexicographically least maximum set.
 
-    Branch and bound over bitsets (Python ints), vertices ordered by degree,
-    greedy solution as the initial bound.  Guarded by `limit` since the
-    worst case is exponential.
+    A maximum independent set of the difference graph, bit v - 1 of a Python
+    int standing for v.  alpha(cand), the independence number of the vertex
+    mask cand, is a memoized branch and reduce: take each vertex of degree
+    <= 1 (dropping its neighbour), split off the lowest vertex's connected
+    component, else branch on a vertex v of maximum degree, without v or
+    with v and without its neighbours.  The witness walks v = 1..N and takes
+    v when a maximum set of what remains still contains it.  Guarded by
+    `limit` since the worst case is exponential.
     """
     N = inst.N
     if N > limit:
         raise TooLarge(f"N={N} exceeds the exact-solver limit {limit}")
-    # the neighbors of v are v - f and v + f inside [1, N], f forbidden
-    nbrs = [[u for f in inst.forbidden for u in (v - f, v + f) if 1 <= u <= N] for v in range(N + 1)]
-    order = sorted(range(1, N + 1), key=lambda v: (-len(nbrs[v]), v))
-    pos = {v: i for i, v in enumerate(order)}
-    padj = [sum(1 << pos[u] for u in nbrs[v]) for v in order]
+    # the neighbours of v are v - f and v + f inside [1, N], f forbidden
+    adj = [0] * N
+    for f in inst.forbidden:
+        for i in range(N - f):
+            adj[i] |= 1 << (i + f)
+            adj[i + f] |= 1 << i
+    memo = {0: 0}
 
-    greedy = greedy_h_free(inst)
-    best_size = len(greedy)
-    best_mask = 0
-    for v in greedy:
-        best_mask |= 1 << pos[v]
-
-    full = (1 << N) - 1
-
-    def expand(cur: int, size: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        if size + cand.bit_count() <= best_size:
-            return
+    def alpha(cand: int) -> int:
+        got = memo.get(cand)
+        if got is not None:
+            return got
+        key, taken, todo = cand, 0, cand
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if not cand & low:
+                continue
+            nb = adj[low.bit_length() - 1] & cand
+            if not nb & (nb - 1):
+                taken += 1
+                cand ^= low | nb
+                if nb:  # only the neighbours of the dropped vertex lose degree
+                    todo |= adj[nb.bit_length() - 1] & cand
         if cand == 0:
-            best_size, best_mask = size, cur
-            return
+            memo[key] = taken
+            return taken
         low = cand & -cand
-        i = low.bit_length() - 1
-        expand(cur | low, size + 1, cand & ~(padj[i] | low))
-        expand(cur, size, cand & ~low)
+        comp = frontier = low
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grow |= adj[b.bit_length() - 1]
+            frontier = grow & cand & ~comp
+            comp |= frontier
+        if comp != cand:
+            rest = alpha(comp) + alpha(cand ^ comp)
+        else:
+            best_deg, v, scan = -1, 0, cand
+            while scan:
+                b = scan & -scan
+                scan ^= b
+                d = (adj[b.bit_length() - 1] & cand).bit_count()
+                if d > best_deg:
+                    best_deg, v = d, b
+            i = v.bit_length() - 1
+            rest = max(alpha(cand ^ v), 1 + alpha(cand & ~(adj[i] | v)))
+        memo[key] = taken + rest
+        return taken + rest
 
-    expand(0, 0, full)
-    witness = sorted(order[i] for i in range(N) if best_mask >> i & 1)
-    return best_size, witness
+    rem = (1 << N) - 1
+    target = alpha(rem)
+    witness = []
+    for i in range(N):
+        b = 1 << i
+        if not rem & b:
+            continue
+        without = rem & ~(adj[i] | b)
+        if 1 + alpha(without) == target:
+            witness.append(i + 1)
+            target -= 1
+            rem = without
+        else:
+            rem ^= b
+    return len(witness), witness

@@ -12,15 +12,12 @@ from intersective_lab.arcs_fourier import (
     ARC_GUARD,
     ArcSpec,
     TorusPoint,
-    arc_l2_mass,
     arc_list,
     blocked_spectrum,
     circle_l2_mass,
     classify,
     fft_grid_size,
     fourier_set,
-    g_hat,
-    interval_transform,
     interval_transform_nodes,
     parseval_total,
 )
@@ -36,6 +33,62 @@ def brute_classify(gamma, spec):
         if min(d, 1 - d) <= t:
             return (a, q)
     return None
+
+
+def interval_transform(N, gamma):
+    """Oracle: sum_{n=1}^{N} e(n gamma) in closed form (the Dirichlet kernel)."""
+    v = gamma.value()
+    if v == 0.0:
+        return complex(N)
+    s = math.sin(math.pi * v)
+    ratio = math.sin(math.pi * N * v) / s
+    return cmath.exp(1j * math.pi * (N + 1) * v) * ratio
+
+
+def g_hat(A, N, gamma):
+    """Oracle: the Fourier transform of g = 1_A - sigma 1_[N] at gamma."""
+    elems = sorted(set(A))
+    if elems and (elems[0] < 1 or elems[-1] > N):
+        raise SetOutOfRange(f"A must lie in [1, {N}]")
+    sigma = len(elems) / N
+    return fourier_set(elems, gamma) - sigma * interval_transform(N, gamma)
+
+
+def _g_hat_grid(A, N, nodes):
+    """|g-hat| at an array of float torus points (vectorized, node-chunked)."""
+    phase = np.empty(nodes.size, dtype=np.complex128)
+    chunk = max(1, (1 << 22) // max(1, A.size))
+    for lo in range(0, nodes.size, chunk):
+        blk = nodes[lo : lo + chunk]
+        phase[lo : lo + blk.size] = np.exp(2j * np.pi * np.outer(blk, A)).sum(axis=1)
+    v = np.mod(nodes, 1.0)
+    s = np.sin(np.pi * v)
+    safe = np.where(s == 0.0, 1.0, s)
+    ratio = np.sin(np.pi * N * v) / safe
+    interval = np.exp(1j * np.pi * (N + 1) * v) * ratio
+    interval = np.where(v == 0.0, complex(N), interval)
+    sigma = len(A) / N
+    return np.abs(phase - sigma * interval)
+
+
+def arc_l2_mass(A, N, a, q, K, oversample=32):
+    """Oracle: trapezoid quadrature of |g-hat|^2 over [a/q - K/N, a/q + K/N].
+
+    oversample * ceil(2K) + 1 uniform nodes; g-hat is a trigonometric
+    polynomial of degree <= N, so node spacing <= 1/(oversample*N) controls
+    the error.
+    """
+    if math.gcd(a, q) != 1:
+        raise ValueError("a/q must be reduced")
+    elems = np.array(sorted(set(A)), dtype=np.int64)
+    if elems.size and (elems[0] < 1 or elems[-1] > N):
+        raise SetOutOfRange(f"A must lie in [1, {N}]")
+    n_nodes = oversample * math.ceil(2 * K) + 1
+    c = a / q
+    nodes = np.linspace(c - K / N, c + K / N, n_nodes)
+    vals = _g_hat_grid(elems, N, nodes) ** 2
+    step = (nodes[-1] - nodes[0]) / (n_nodes - 1)
+    return float((vals.sum() - 0.5 * (vals[0] + vals[-1])) * step)
 
 
 def test_classify_examples():

@@ -8,6 +8,7 @@ import pytest
 
 from intersective_lab.cli import main, parse_poly, render_poly
 from intersective_lab.errors import PolyParseError
+from intersective_lab.hfree import EXACT_LIMIT
 from intersective_lab.intpoly import IntPoly
 from intersective_lab.residue_sieve import SieveProfile
 
@@ -70,6 +71,20 @@ def test_maxset_cli(tmp_path):
     assert doc["result"]["size"] == 2
 
 
+@pytest.mark.parametrize(
+    "poly, size", [("x^2", 20), ("x^2-1", 26), ("x^3", 35), ("x^3+x^2-2x", 38)]
+)
+def test_maxset_exact_at_the_limit(tmp_path, poly, size):
+    # the --limit default is EXACT_LIMIT, and N = EXACT_LIMIT stays a
+    # seconds-scale solve for each acceptance family
+    assert EXACT_LIMIT == 80
+    t0 = time.perf_counter()
+    code, doc = run_cli(tmp_path, "maxset", "--poly", poly, "--N", "80", "--exact")
+    assert time.perf_counter() - t0 < 10
+    assert code == 0 and doc["result"]["size"] == size
+    assert main(["maxset", "--poly", poly, "--N", "81", "--exact"]) == 1
+
+
 def test_nesting_cli(tmp_path):
     code, doc = run_cli(
         tmp_path, "nesting", "--poly", "x^2-1", "--d", "1", "--q", "6", "--n-max", "50"
@@ -86,6 +101,21 @@ def test_arcs_cli(tmp_path):
         tmp_path, "arcs", "--N", "1000", "--K", "2", "--Q", "10", "--gamma", "1/3"
     )
     assert doc["result"] == {"classification": "major", "a": 1, "q": 3}
+
+
+def test_arcs_csv(tmp_path):
+    csv_path = tmp_path / "arcs.csv"
+    code, doc = run_cli(tmp_path, "arcs", "--N", "1000", "--K", "2", "--Q", "4", "--csv", str(csv_path))
+    assert code == 0 and doc["result"] == {"count": 6}
+    assert csv_path.read_text().splitlines() == ["a,q", "1,1", "1,2", "1,3", "2,3", "1,4", "3,4"]
+
+
+def test_arcs_count_without_csv(tmp_path):
+    # the count alone, with no per-arc CSV rows built or written
+    code, doc = run_cli(tmp_path, "arcs", "--N", "10", "--K", "1", "--Q", "300")
+    assert code == 0
+    assert doc["result"] == {"count": 1 + sum(math.gcd(a, q) == 1 for q in range(2, 301) for a in range(1, q))}
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_energy_cli(tmp_path):

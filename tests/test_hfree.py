@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,8 @@ X2 = IntPoly([0, 0, 1])
 X2M1 = IntPoly([-1, 0, 1])
 X3 = IntPoly([0, 0, 0, 1])
 X2PX = IntPoly([0, 1, 1])
+X3X2M2X = IntPoly([0, -2, 1, 1])
+FAMILIES = (X2, X2M1, X3, X3X2M2X)
 
 
 def brute_max(inst):
@@ -43,6 +46,54 @@ def brute_max(inst):
             if pc > best:
                 best = pc
     return best
+
+
+def branch_and_bound_max(inst):
+    """Size oracle: branch and bound over vertices ordered by degree, then
+    value, pruned only by size + |candidates| against the best set so far
+    (the greedy set first)."""
+    N = inst.N
+    nbrs = [[u for f in inst.forbidden for u in (v - f, v + f) if 1 <= u <= N] for v in range(N + 1)]
+    order = sorted(range(1, N + 1), key=lambda v: (-len(nbrs[v]), v))
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [sum(1 << pos[u] for u in nbrs[v]) for v in order]
+    best = len(greedy_h_free(inst))
+
+    def expand(size, cand):
+        nonlocal best
+        if size + cand.bit_count() <= best:
+            return
+        if cand == 0:
+            best = size
+            return
+        low = cand & -cand
+        expand(size + 1, cand & ~(adj[low.bit_length() - 1] | low))
+        expand(size, cand & ~low)
+
+    expand(0, (1 << N) - 1)
+    return best
+
+
+def lex_least_max(inst):
+    """The first h-free set, in lexicographic order, of the brute-force size."""
+    forb = set(inst.forbidden)
+    for combo in itertools.combinations(range(1, inst.N + 1), brute_max(inst)):
+        if all(b - a not in forb for a, b in itertools.combinations(combo, 2)):
+            return list(combo)
+
+
+# the branch-and-bound oracle's maximum sizes at N = 1..60, one row per family
+# of FAMILIES; test_exact_sizes_match_oracle recomputes the rows up to N = 40
+ORACLE_SIZES = (
+    (1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6, 6, 7, 7, 8, 8, 8, 9, 9, 10, 10, 10, 10, 10, 10, 10, 10,
+     10, 10, 10, 10, 11, 11, 11, 12, 12, 12, 12, 12, 13, 13, 13, 13, 13, 14, 14, 14, 14, 14, 15, 15, 15, 15, 15, 16, 16, 16),
+    (1, 2, 3, 3, 3, 3, 4, 5, 5, 5, 5, 6, 7, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 10, 10, 10, 10, 11, 11, 11,
+     11, 12, 12, 12, 12, 12, 13, 13, 14, 14, 15, 15, 15, 15, 15, 16, 16, 17, 17, 18, 18, 18, 18, 18, 19, 19, 20, 20, 21, 21),
+    (1, 1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 12, 12, 13, 13,
+     14, 14, 15, 15, 15, 16, 16, 17, 17, 18, 18, 18, 19, 19, 20, 20, 21, 21, 21, 22, 22, 23, 23, 24, 24, 24, 25, 25, 26, 26),
+    (1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16,
+     16, 16, 17, 18, 18, 18, 18, 18, 19, 20, 21, 22, 22, 22, 23, 24, 24, 24, 25, 26, 26, 26, 26, 26, 27, 28, 29, 30, 30, 30),
+)
 
 
 def test_forbidden_enumeration():
@@ -127,18 +178,47 @@ def test_exact_against_brute_force_small():
             assert is_h_free(witness, inst) is None
 
 
+def test_exact_witness_is_lex_least():
+    for h in FAMILIES + (IntPoly([-3, 2]), IntPoly([5])):
+        for N in range(1, 17):
+            inst = HFreeInstance.build(h, N)
+            assert max_h_free_exact(inst)[1] == lex_least_max(inst), (h, N)
+
+
+def test_exact_sizes_match_oracle():
+    for h, sizes in zip(FAMILIES, ORACLE_SIZES):
+        for N in range(1, 61):
+            inst = HFreeInstance.build(h, N)
+            size, witness = max_h_free_exact(inst)
+            assert size == sizes[N - 1], (h, N)
+            assert len(witness) == size and is_h_free(witness, inst) is None
+            if N <= 40:
+                assert branch_and_bound_max(inst) == size, (h, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(lambda cs: any(cs)),
+    st.integers(1, 40),
+)
+def test_exact_size_matches_branch_and_bound(coeffs, N):
+    inst = HFreeInstance.build(IntPoly(coeffs), N)
+    size, witness = max_h_free_exact(inst)
+    assert size == branch_and_bound_max(inst)
+    assert len(witness) == size and is_h_free(witness, inst) is None
+
+
 @pytest.mark.parametrize(
     "coeffs, witness",
     [
         ((0, 0, 1), [1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 35, 40]),
-        ((-1, 0, 1), [2, 4, 9, 11, 13, 15, 20, 22, 27, 29, 31, 36, 38, 40]),
+        ((-1, 0, 1), [1, 2, 3, 7, 8, 12, 14, 19, 21, 28, 30, 35, 39, 40]),
         ((0, 0, 0, 1), [1, 3, 5, 8, 10, 12, 15, 17, 19, 22, 24, 26, 29, 31, 33, 36, 38, 40]),
         ((0, -2, 1, 1), [1, 2, 3, 4, 7, 8, 13, 14, 17, 18, 19, 20, 23, 24, 29, 30, 35, 36, 39, 40]),
     ],
 )
 def test_exact_witness_is_pinned(coeffs, witness):
-    # the vertex order (degree, then value) and the branch order fix which
-    # maximum set is returned; these are the sets at N = 40
+    # the lexicographically least maximum sets at N = 40
     assert max_h_free_exact(HFreeInstance.build(IntPoly(coeffs), 40)) == (len(witness), witness)
 
 

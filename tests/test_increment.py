@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from intersective_lab import increment
-from intersective_lab.arcs_fourier import arc_l2_mass, fft_grid_size
+from intersective_lab.arcs_fourier import fft_grid_size
 from intersective_lab.hfree import HFreeInstance, greedy_h_free, is_h_free
 from intersective_lab.errors import SetOutOfRange, TooLarge
 from intersective_lab.increment import (
@@ -26,6 +26,7 @@ from intersective_lab.increment import (
 )
 from intersective_lab.intersective import AuxFamily
 from intersective_lab.intpoly import IntPoly
+from test_arcs_fourier import arc_l2_mass
 
 X2 = IntPoly([0, 0, 1])
 X3 = IntPoly([0, 0, 0, 1])
