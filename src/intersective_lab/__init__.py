@@ -49,6 +49,5 @@ from .residue_sieve import (
     SieveProfile,
     expected_density,
     gamma_exponent,
-    root_count,
     sieve_count,
 )

@@ -23,10 +23,12 @@ import numpy as np
 
 from .errors import TooLarge, ZeroDerivative
 from .intpoly import IntPoly
-from .numutil import padic_valuation, primes_up_to, roots_mod, roots_mod_primes
+from .numutil import padic_valuation, primes_up_to, roots_mod, roots_mod_primes, trial_divide
 
 WHEEL_CAP = 10**8  # L: the flags [0, L) of one wheel period
 MARK_GUARD = 10**8  # X: the flags [0, X] of one mark segment
+SEGMENT = 1 << 20  # flags per cache block of _strike: 1 MiB, inside a 2 MiB L2
+PATTERN_CAP = 10**5  # P: the period of the smallest moduli, struck once and tiled
 
 
 def fixed_divisor(f: IntPoly) -> int:
@@ -55,12 +57,6 @@ def gamma_exponent(g: IntPoly, p: int) -> int:
     return _gamma(fixed_divisor(g.derivative()), p)
 
 
-def root_count(g: IntPoly, p: int) -> tuple[int, tuple[int, ...]]:
-    """(j, bad): count and sorted residues s mod p^gamma with g'(s) = 0."""
-    bad = tuple(roots_mod(g.derivative().coeffs, p ** gamma_exponent(g, p)))
-    return len(bad), bad
-
-
 @dataclass(frozen=True)
 class PrimeData:
     gamma: int
@@ -69,10 +65,47 @@ class PrimeData:
     bad: frozenset[int]
 
 
+def _product(xs: list[int]) -> int:
+    """prod xs by a balanced tree: operands of equal size keep big products fast."""
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
+
+
 def _strike(length: int, prime_data) -> np.ndarray:
-    """Flags on [0, length): False at every bad residue of every PrimeData."""
-    adm = np.ones(length, dtype=bool)
-    for pd in prime_data:
+    """Flags on [0, length): False at every bad residue of every PrimeData.
+
+    The moduli are pairwise coprime, taken in ascending order in three tiers.
+    The smallest, with product P <= min(PATTERN_CAP, length), are struck once
+    into one period of their P-periodic flags, which is tiled over the
+    output.  Each modulus up to SEGMENT // 128 is then struck one SEGMENT at
+    a time, while the segment sits in cache.  The larger moduli hit a segment
+    only a few times each, so they are struck over the whole array at once.
+    """
+    pds = sorted((pd for pd in prime_data if pd.bad), key=lambda pd: pd.modulus)
+    cap = min(PATTERN_CAP, length)
+    P, k = 1, 0
+    while k < len(pds) and P * pds[k].modulus <= cap:
+        P *= pds[k].modulus
+        k += 1
+    split = k
+    while split < len(pds) and pds[split].modulus <= SEGMENT // 128:
+        split += 1
+    pattern = np.ones(P, dtype=bool)
+    for pd in pds[:k]:
+        for b in pd.bad:
+            pattern[b :: pd.modulus] = False
+    # np.tile(pattern, reps)[:length], without its fixed cost on small strikes
+    adm = pattern.reshape(1, P).repeat(-(-length // P), axis=0).reshape(-1)[:length]
+    steps = [pd.modulus for pd in pds[k:split] for _ in pd.bad]
+    if steps:
+        mods = np.array(steps, dtype=np.int64)
+        bads = np.array([b for pd in pds[k:split] for b in pd.bad], dtype=np.int64)
+        for lo in range(0, length, SEGMENT):
+            seg = adm[lo : lo + SEGMENT]
+            for off, m in zip(((bads - lo) % mods).tolist(), steps):
+                seg[off::m] = False
+    for pd in pds[split:]:
         for b in pd.bad:
             adm[b :: pd.modulus] = False
     return adm
@@ -80,7 +113,7 @@ def _strike(length: int, prime_data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SieveProfile:
-    """Per-prime data for all p <= Y; mask/mask_mod sieve, in_W/in_Wq are their oracles."""
+    """Per-prime data for all p <= Y; mask and mask_mod sieve W and W^q."""
 
     g: IntPoly
     Y: float
@@ -110,35 +143,26 @@ class SieveProfile:
         return _strike(X, self.per_prime.values())
 
     def mask_mod(self, q: int) -> np.ndarray:
-        """W^q flags on [0, q): only primes with p^gamma | q are sieved."""
-        return _strike(q, [pd for pd in self.per_prime.values() if q % pd.modulus == 0])
-
-    def in_W(self, n: int) -> bool:
-        for pd in self.per_prime.values():
-            if n % pd.modulus in pd.bad:
-                return False
-        return True
-
-    def in_Wq(self, q: int, n: int) -> bool:
-        for pd in self.per_prime.values():
-            if q % pd.modulus == 0 and n % pd.modulus in pd.bad:
-                return False
-        return True
+        """W^q flags on [0, q) for q >= 1: only primes with p^gamma | q are
+        sieved.  They divide q, so trial division finds them without a pass
+        over every prime up to Y."""
+        fac, _ = trial_divide(q, math.floor(self.Y))
+        return _strike(q, [self.per_prime[p] for p, e in fac if self.per_prime[p].gamma <= e])
 
     def period(self) -> int:
-        """L = prod p^gamma; in_W is L-periodic."""
-        L = 1
-        for pd in self.per_prime.values():
-            L *= pd.modulus
-        return L
+        """L = prod p^gamma; W is L-periodic."""
+        return _product([pd.modulus for pd in self.per_prime.values()])
 
 
 def expected_density(profile: SieveProfile, exact: bool = False):
-    """w(Y) = prod (1 - j_p / p^gamma_p), as float or exact Fraction."""
-    w = Fraction(1)
-    for pd in profile.per_prime.values():
-        w *= Fraction(pd.modulus - pd.j, pd.modulus)
-    return w if exact else float(w)
+    """w(Y) = prod (1 - j_p / p^gamma_p), as float or exact Fraction.
+
+    One division of prod (p^gamma - j_p) by the period: int true division is
+    correctly rounded, so the float equals that of the reduced Fraction.
+    """
+    num = _product([pd.modulus - pd.j for pd in profile.per_prime.values()])
+    den = profile.period()
+    return Fraction(num, den) if exact else num / den
 
 
 @dataclass(frozen=True)
@@ -171,12 +195,12 @@ def sieve_count(profile: SieveProfile, X: int) -> SieveCount:
         method = "wheel"
         adm = profile.mask(L)
         full, rem = divmod(X, L)
-        count = full * int(adm.sum()) + int(adm[1 : rem + 1].sum())
+        count = full * int(np.count_nonzero(adm)) + int(np.count_nonzero(adm[1 : rem + 1]))
     else:
         method = "mark"
         if X > MARK_GUARD:
             raise TooLarge(f"X={X} exceeds the MARK_GUARD of {MARK_GUARD} for method mark")
-        count = int(profile.mask(X + 1)[1:].sum())
+        count = int(np.count_nonzero(profile.mask(X + 1)[1:]))
     w = expected_density(profile)
     main = X * w
     rel = abs(count - main) / main if main > 0 else math.inf

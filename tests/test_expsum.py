@@ -24,6 +24,7 @@ from intersective_lab.expsum import (
 from intersective_lab.intersective import AuxFamily
 from intersective_lab.intpoly import IntPoly
 from intersective_lab.numutil import _egcd, values_mod
+from test_residue_sieve import in_W, in_Wq
 
 X2 = IntPoly([0, 0, 1])
 X3 = IntPoly([0, 0, 0, 1])
@@ -120,11 +121,11 @@ def test_phase_sum_trivial_bound():
         spec = PhaseSumSpec.for_family(fam, 1, 10_000, 5, gamma, weighted=True)
         prof = profile_for(spec.g, 5)
         dg = spec.g.derivative()
-        bound = sum(abs(dg.evaluate(m)) for m in range(1, spec.M + 1) if prof.in_W(m))
+        bound = sum(abs(dg.evaluate(m)) for m in range(1, spec.M + 1) if in_W(prof, m))
         assert abs(phase_sum(spec)) <= bound + 1e-6
     at_zero = phase_sum(PhaseSumSpec.for_family(fam, 1, 10_000, 5, TorusPoint.rational(0, 1), weighted=True))
     prof = profile_for(fam.aux_poly(1), 5)
-    exact = sum(2 * m for m in range(1, 101) if prof.in_W(m))
+    exact = sum(2 * m for m in range(1, 101) if in_W(prof, m))
     assert cmath.isclose(at_zero, exact)
 
 
@@ -219,7 +220,7 @@ def literal_phase_sum(spec):
         a, q, off = 0, 1, gamma.value()
     reals, imags, size = [], [], 0.0
     for m in range(1, spec.M + 1):
-        if not prof.in_W(m):
+        if not in_W(prof, m):
             continue
         hm = spec.g.evaluate(m)
         ph = ((hm * a) % q) / q + hm * off
@@ -280,7 +281,7 @@ def test_phase_sum_across_blocks():
 
 def literal_complete_sum(g, a, q, Y):
     prof = profile_for(g, Y, q)
-    res = [(a * g.evaluate(s)) % q for s in range(q) if prof.in_Wq(q, s)]
+    res = [(a * g.evaluate(s)) % q for s in range(q) if in_Wq(prof, q, s)]
     value = complex(
         math.fsum(math.cos(2 * math.pi * r / q) for r in res),
         math.fsum(math.sin(2 * math.pi * r / q) for r in res),

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersective_lab import numutil, residue_sieve
 from intersective_lab.errors import TooLarge, ZeroDerivative
 from intersective_lab.intpoly import IntPoly
-from intersective_lab.numutil import PRIME_GUARD, padic_valuation, primes_up_to
+from intersective_lab.numutil import PRIME_GUARD, padic_valuation, primes_up_to, roots_mod
 from intersective_lab.residue_sieve import (
     MARK_GUARD,
     PrimeData,
@@ -16,13 +17,44 @@ from intersective_lab.residue_sieve import (
     expected_density,
     fixed_divisor,
     gamma_exponent,
-    root_count,
     sieve_count,
 )
 
 X2 = IntPoly([0, 0, 1])
 X2M1 = IntPoly([-1, 0, 1])
 X3 = IntPoly([0, 0, 0, 1])
+X3X2M2X = IntPoly([0, -2, 1, 1])
+
+
+def root_count(g, p):
+    """(j, bad): count and sorted residues s mod p^gamma with g'(s) = 0."""
+    bad = tuple(roots_mod(g.derivative().coeffs, p ** gamma_exponent(g, p)))
+    return len(bad), bad
+
+
+def in_W(prof, n):
+    """Membership of n in W(g; Y), prime by prime: the oracle of mask."""
+    for pd in prof.per_prime.values():
+        if n % pd.modulus in pd.bad:
+            return False
+    return True
+
+
+def in_Wq(prof, q, n):
+    """Membership of n in W^q(g; Y), only primes with p^gamma | q: the oracle of mask_mod."""
+    for pd in prof.per_prime.values():
+        if q % pd.modulus == 0 and n % pd.modulus in pd.bad:
+            return False
+    return True
+
+
+def strike_oracle(length, prime_data):
+    """Flags on [0, length): one strided store per (modulus, bad residue) over the whole array."""
+    adm = np.ones(length, dtype=bool)
+    for pd in prime_data:
+        for b in pd.bad:
+            adm[b :: pd.modulus] = False
+    return adm
 
 
 def test_gamma_exponent():
@@ -87,19 +119,19 @@ def test_root_count():
 
 def test_membership():
     prof = SieveProfile.build(X2, 3)
-    assert prof.in_W(1) is True
-    assert prof.in_W(2) is False
+    assert in_W(prof, 1) is True
+    assert in_W(prof, 2) is False
     empty = SieveProfile.build(X2, 1.5)
-    assert all(empty.in_W(n) for n in range(-5, 50))
+    assert all(in_W(empty, n) for n in range(-5, 50))
 
 
 def test_membership_wq():
     prof = SieveProfile.build(X2, 5)
-    assert prof.in_Wq(4, 2) is False
-    assert prof.in_Wq(2, 2) is True  # gamma_2 = 2 and 4 does not divide 2
-    assert all(prof.in_Wq(1, n) for n in range(30))
+    assert in_Wq(prof, 4, 2) is False
+    assert in_Wq(prof, 2, 2) is True  # gamma_2 = 2 and 4 does not divide 2
+    assert all(in_Wq(prof, 1, n) for n in range(30))
     prof3 = SieveProfile.build(X3, 10)
-    assert prof3.in_Wq(9, 3) is False
+    assert in_Wq(prof3, 9, 3) is False
 
 
 def test_expected_density():
@@ -115,7 +147,7 @@ sieve_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=5).filter(
 
 def loop_count(prof, X):
     """|[1, X] cap W|: the literal membership loop, the oracle of sieve_count."""
-    return sum(1 for n in range(1, X + 1) if prof.in_W(n))
+    return sum(1 for n in range(1, X + 1) if in_W(prof, n))
 
 
 def test_sieve_count_exhaustive_example():
@@ -163,7 +195,7 @@ def test_periodicity():
     rng = random.Random(6)
     for _ in range(200):
         n = rng.randint(-500, 500)
-        assert prof.in_W(n) == prof.in_W(n + L)
+        assert in_W(prof, n) == in_W(prof, n + L)
 
 
 def test_monotone_in_Y():
@@ -172,15 +204,15 @@ def test_monotone_in_Y():
     rng = random.Random(7)
     for _ in range(10_000):
         n = rng.randint(1, 10**6)
-        if hi.in_W(n):
-            assert lo.in_W(n)
+        if in_W(hi, n):
+            assert in_W(lo, n)
 
 
 def test_wq_with_full_period_equals_w():
     prof = SieveProfile.build(X2, 7)
     L = prof.period()
     for n in range(1, 400):
-        assert prof.in_Wq(L, n) == prof.in_W(n)
+        assert in_Wq(prof, L, n) == in_W(prof, n)
 
 
 def test_exact_density_times_period_is_period_count():
@@ -188,7 +220,7 @@ def test_exact_density_times_period_is_period_count():
         prof = SieveProfile.build(g, 7)
         L = prof.period()
         w = expected_density(prof, exact=True)
-        exact_count = sum(1 for n in range(L) if prof.in_W(n))
+        exact_count = sum(1 for n in range(L) if in_W(prof, n))
         assert w * L == exact_count
 
 
@@ -202,14 +234,78 @@ def test_small_X_warns():
 @given(sieve_polys, st.integers(0, 30), st.integers(0, 400))
 def test_mask_matches_in_W(coeffs, Y, X):
     prof = SieveProfile.build(IntPoly(coeffs), Y)
-    assert prof.mask(X).tolist() == [prof.in_W(n) for n in range(X)]
+    assert prof.mask(X).tolist() == [in_W(prof, n) for n in range(X)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(sieve_polys, st.integers(0, 30), st.integers(1, 400))
 def test_mask_mod_matches_in_Wq(coeffs, Y, q):
     prof = SieveProfile.build(IntPoly(coeffs), Y)
-    assert prof.mask_mod(q).tolist() == [prof.in_Wq(q, n) for n in range(q)]
+    assert prof.mask_mod(q).tolist() == [in_Wq(prof, q, n) for n in range(q)]
+
+
+def strike_tiers(prime_data, length):
+    """The tiers of residue_sieve._strike that flags on [0, length) pass through."""
+    mods = sorted(pd.modulus for pd in prime_data if pd.bad)
+    P, k = 1, 0
+    while k < len(mods) and P * mods[k] <= min(residue_sieve.PATTERN_CAP, length):
+        P *= mods[k]
+        k += 1
+    small = residue_sieve.SEGMENT // 128
+    used = {"pattern"} if k else set()
+    used |= {"segment" if m <= small else "whole" for m in mods[k:]}
+    return used | ({"boundary"} if length > residue_sieve.SEGMENT else set())
+
+
+def test_strike_tiers_match_oracles():
+    # x^3+x^2-2x at Y = 40 has bad moduli 2, 3, 7, 19, 29, 31, 37; q = 2*3*7*29
+    # puts them under mask_mod too.  PATTERN_CAP 1 leaves 2, 3, 7 to the
+    # segments, 60 pre-sieves them; 19 and up are struck whole.
+    hit = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sieve_polys, st.integers(0, 40), st.integers(0, 3000), st.sampled_from([1, 60]))
+    @example([0, -2, 1, 1], 40, 1218, 1)
+    @example([0, -2, 1, 1], 40, 1218, 60)
+    def check(coeffs, Y, length, cap):
+        prof = SieveProfile.build(IntPoly(coeffs), Y)
+        q = max(length, 1)
+        dividing = [pd for pd in prof.per_prime.values() if q % pd.modulus == 0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(residue_sieve, "SEGMENT", 1024)
+            mp.setattr(residue_sieve, "PATTERN_CAP", cap)
+            adm, adm_q = prof.mask(length), prof.mask_mod(q)
+            hit.update(("mask", t) for t in strike_tiers(prof.per_prime.values(), length))
+            hit.update(("mask_mod", t) for t in strike_tiers(dividing, q))
+        assert np.array_equal(adm, strike_oracle(length, prof.per_prime.values()))
+        assert adm.tolist() == [in_W(prof, n) for n in range(length)]
+        assert np.array_equal(adm_q, strike_oracle(q, dividing))
+        assert adm_q.tolist() == [in_Wq(prof, q, n) for n in range(q)]
+
+    check()
+    tiers = ("pattern", "segment", "whole", "boundary")
+    assert hit == {(f, t) for f in ("mask", "mask_mod") for t in tiers}
+
+
+def test_mask_at_arith_size_matches_oracle():
+    # 3e6 + 1 flags span three SEGMENTs at the default constants
+    prof = SieveProfile.build(X3X2M2X, 5000)
+    X = 3 * 10**6
+    assert X > 2 * residue_sieve.SEGMENT
+    assert np.array_equal(prof.mask(X + 1), strike_oracle(X + 1, prof.per_prime.values()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sieve_polys, st.integers(0, 3000))
+def test_product_tree_matches_left_to_right_product(coeffs, Y):
+    prof = SieveProfile.build(IntPoly(coeffs), Y)
+    w, L = Fraction(1), 1
+    for pd in prof.per_prime.values():
+        w *= Fraction(pd.modulus - pd.j, pd.modulus)
+        L *= pd.modulus
+    assert expected_density(prof, exact=True) == w
+    assert expected_density(prof).hex() == float(w).hex()
+    assert prof.period() == L
 
 
 def test_prime_and_mark_guards_sit_above_targets():
