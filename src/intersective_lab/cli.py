@@ -1,10 +1,10 @@
 """Command-line front end: polynomial parsing, dispatch, JSON/CSV reports.
 
-Every report is {"schema": ..., "manifest": {...}, "result": {...}}; the
-manifest carries the subcommand, all parameters, the library version and
-wall time.  Results are fully determined by the parameters (floats printed
-to 12 significant digits), so identical parameters give byte-identical
-result sections regardless of --threads.
+Every report is one line of JSON, keys sorted: {"schema": ..., "manifest":
+{...}, "result": {...}}; the manifest carries the subcommand, all parameters,
+the library version and wall time.  Results are fully determined by the
+parameters (floats printed to 12 significant digits), so identical parameters
+give byte-identical result sections regardless of --threads.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -155,9 +156,7 @@ def _jsonable(obj: Any) -> Any:
         return [_round12(obj.real), _round12(obj.imag)]
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
+    if isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -170,25 +169,27 @@ def _jsonable(obj: Any) -> Any:
 class Report:
     result: dict
     csv_rows: Optional[list[dict]] = None
+    native: bool = False  # result is already JSON-native, floats rounded by _round12
 
 
-def _emit(args, subcommand: str, params: dict, report: Report, t0: float) -> None:
+def _emit(args, subcommand: str, params: dict, report: Report, t0: float) -> int:
     manifest = {
         "subcommand": subcommand,
         "params": _jsonable(params),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "seed": None,
-        "threads": getattr(args, "threads", 1),
+        "threads": args.threads,
     }
-    doc = {"schema": SCHEMA, "manifest": manifest, "result": _jsonable(report.result)}
+    result = report.result if report.native else _jsonable(report.result)
+    doc = {"schema": SCHEMA, "manifest": manifest, "result": result}
     # exact integers such as the sieve period L = prod p^gamma pass the
     # interpreter's int-to-str digit limit (4300 by default) once Y >~ 1e4
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = json.dumps(doc, sort_keys=True)  # no indent: the C encoder
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -196,7 +197,11 @@ def _emit(args, subcommand: str, params: dict, report: Report, t0: float) -> Non
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left: send the interpreter's last flush to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if args.csv and report.csv_rows is not None:
         with open(args.csv, "w", newline="") as fh:
             if report.csv_rows:
@@ -204,11 +209,10 @@ def _emit(args, subcommand: str, params: dict, report: Report, t0: float) -> Non
                 writer.writeheader()
                 for row in report.csv_rows:
                     writer.writerow({k: _fmt_cell(v) for k, v in row.items()})
+    return 0
 
 
 def _fmt_cell(v: Any) -> Any:
-    if isinstance(v, bool):
-        return v
     if isinstance(v, float):
         return f"{v:.12g}"
     return v
@@ -321,7 +325,7 @@ def _cmd_sieve(args) -> Report:
     rows = [
         {"p": p, "gamma": pd.gamma, "modulus": pd.modulus, "j": pd.j}
         for p, pd in sorted(prof.per_prime.items())
-    ]
+    ] if args.csv else None
     return Report(
         {
             "g": render_poly(g),
@@ -343,12 +347,16 @@ def _cmd_expsum_scan(args) -> Report:
     g = parse_poly(args.poly)
     Y = None if args.Y == "all" else args.Y
     rows = cancellation_scan(g, args.q_max, Y, squarefree_only=args.squarefree)
-    # q, omega, max_abs, ratio_sqrt, ratio_weyl, admissible: flat fields, so no deep copy
-    table = [dict(vars(r)) for r in rows]
+    table = _scan_table(rows)
     return Report(
-        {"rows": table, "fitted_C": fitted_C(rows), "q_max": args.q_max},
-        csv_rows=table,
+        {"rows": table, "fitted_C": _round12(fitted_C(rows)), "q_max": args.q_max},
+        csv_rows=table, native=True,
     )
+
+
+def _scan_table(rows) -> list[dict]:
+    """JSON-native scan rows: each float field of a ScanRow rounded here, once, by _round12."""
+    return [{k: _round12(v) if isinstance(v, float) else v for k, v in vars(r).items()} for r in rows]
 
 
 def _cmd_main_term(args) -> Report:
@@ -462,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here (default stdout)")
         p.add_argument("--csv", help="write the CSV table here")
         p.add_argument(
-            "--threads", type=_positive_int, default=_threads_default(),
+            "--threads", type=_positive_int, default=None,
             help="recorded in the manifest; changes neither the work nor the result",
         )
 
@@ -545,26 +553,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+PARSER = _build_parser()  # built once per process; main reads the environment per call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    args.threads = args.threads or _threads_default()  # None unless --threads was given
     t0 = time.perf_counter()
     params = {
         k: v
         for k, v in vars(args).items()
         if k not in ("handler", "out", "csv") and not callable(v)
     }
-    try:
-        report = args.handler(args)
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(GRAMMAR_HELP, file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(args, args.subcommand, params, report, t0)
-    return 0
+    with warnings.catch_warnings(record=True) as caught:  # the caller's filters still apply
+        try:
+            report = args.handler(args)
+        except PolyParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(GRAMMAR_HELP, file=sys.stderr)
+            return 2
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+    return _emit(args, args.subcommand, params, report, t0)
 
 
 if __name__ == "__main__":

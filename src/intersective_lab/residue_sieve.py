@@ -154,14 +154,18 @@ class SieveProfile:
         return _product([pd.modulus for pd in self.per_prime.values()])
 
 
+def _admissible_per_period(profile: SieveProfile) -> int:
+    """|W(g; Y) cap [0, L)| = prod (p^gamma - j_p), by CRT."""
+    return _product([pd.modulus - pd.j for pd in profile.per_prime.values()])
+
+
 def expected_density(profile: SieveProfile, exact: bool = False):
     """w(Y) = prod (1 - j_p / p^gamma_p), as float or exact Fraction.
 
     One division of prod (p^gamma - j_p) by the period: int true division is
     correctly rounded, so the float equals that of the reduced Fraction.
     """
-    num = _product([pd.modulus - pd.j for pd in profile.per_prime.values()])
-    den = profile.period()
+    num, den = _admissible_per_period(profile), profile.period()
     return Fraction(num, den) if exact else num / den
 
 
@@ -201,7 +205,7 @@ def sieve_count(profile: SieveProfile, X: int) -> SieveCount:
         if X > MARK_GUARD:
             raise TooLarge(f"X={X} exceeds the MARK_GUARD of {MARK_GUARD} for method mark")
         count = int(np.count_nonzero(profile.mask(X + 1)[1:]))
-    w = expected_density(profile)
+    w = _admissible_per_period(profile) / L  # expected_density, reusing L
     main = X * w
     rel = abs(count - main) / main if main > 0 else math.inf
     return SieveCount(count, main, rel, method, L, w)

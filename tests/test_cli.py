@@ -1,13 +1,25 @@
+import csv
+import io
 import json
 import math
+import os
 import random
+import struct
+import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import intersective_lab
+from intersective_lab import cli
 from intersective_lab.cli import main, parse_poly, render_poly
 from intersective_lab.errors import PolyParseError
+from intersective_lab.expsum import ScanRow, cancellation_scan, fitted_C
 from intersective_lab.hfree import EXACT_LIMIT
 from intersective_lab.intpoly import IntPoly
 from intersective_lab.residue_sieve import SieveProfile
@@ -160,11 +172,27 @@ def test_usage_error_exit_codes(tmp_path, capsys):
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
+    # the parser is built once, so the environment is read on every call
+    argv = ["arcs", "--N", "100", "--K", "1", "--Q", "3"]
     monkeypatch.setenv("INTERSECTIVE_LAB_THREADS", "4")
-    out = tmp_path / "env.json"
-    main(["arcs", "--N", "100", "--K", "1", "--Q", "3", "--out", str(out)])
-    doc = json.loads(out.read_text())
-    assert doc["manifest"]["threads"] == 4
+    assert run_cli(tmp_path, *argv)[1]["manifest"]["threads"] == 4
+    monkeypatch.delenv("INTERSECTIVE_LAB_THREADS")
+    _, doc = run_cli(tmp_path, *argv)
+    assert doc["manifest"]["threads"] == 1 == doc["manifest"]["params"]["threads"]
+
+
+def test_parser_reuse_leaves_no_flags_behind(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", None)  # main parses with the parser built at import
+    csv_path = tmp_path / "t.csv"
+    argv = ["expsum-scan", "--poly", "x^3", "--q-max", "12"]
+    code, doc = run_cli(tmp_path, *argv, "--csv", str(csv_path), "--squarefree")
+    assert code == 0 and doc["manifest"]["params"]["squarefree"] is True
+    assert [r["q"] for r in doc["result"]["rows"]] == [1, 2, 3, 5, 6, 7, 10, 11]
+    csv_path.unlink()
+    code, doc = run_cli(tmp_path, *argv)
+    assert code == 0 and doc["manifest"]["params"]["squarefree"] is False
+    assert [r["q"] for r in doc["result"]["rows"]] == list(range(1, 13))
+    assert not csv_path.exists()
 
 
 def test_result_determinism(tmp_path):
@@ -192,15 +220,17 @@ def test_increment_tiny_N(tmp_path, poly, N):
         assert doc["result"]["trajectory"][0]["N_i"] == N
 
 
-def test_sieve_report_keeps_period_beyond_digit_limit(tmp_path):
+def test_sieve_report_keeps_period_beyond_digit_limit(tmp_path, capsys):
     # at Y = 10500 the period prod p^gamma has more than 4300 decimal digits
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     out = tmp_path / "r.json"
-    with pytest.warns(UserWarning, match="small for Y"):
-        code = main(
-            ["sieve", "--poly", "x^2+1", "--Y", "10500", "--X", "1000", "--out", str(out)]
-        )
+    code = main(["sieve", "--poly", "x^2+1", "--Y", "10500", "--X", "1000", "--out", str(out)])
     assert code == 0
+    # the small-X warning is one line on stderr, not a raw Python warning
+    assert capsys.readouterr().err == (
+        "warning: X=1000 is small for Y=10500.0: log X < log Y log log Y; "
+        "the main-term approximation may be poor\n"
+    )
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(0)
@@ -403,3 +433,104 @@ def test_increment_csv_leaves_missing_q_used_empty(tmp_path):
         "0,22695,1,987,0.0434897554527,5",
         "1,250,5,43,0.172,",
     ]
+
+
+def legacy_jsonable(obj):
+    """The report path's JSON conversion before results were built JSON-native."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, complex):
+        return [float(f"{obj.real:.12g}"), float(f"{obj.imag:.12g}")]
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): legacy_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [legacy_jsonable(v) for v in obj]
+    return str(obj)
+
+
+def legacy_scan(args):
+    """expsum-scan's result and CSV rows as the report path built them from the raw ScanRows."""
+    rows = cancellation_scan(parse_poly(args.poly), args.q_max, None if args.Y == "all" else args.Y,
+                             squarefree_only=args.squarefree)
+    table = [dict(vars(r)) for r in rows]
+    return {"rows": table, "fitted_C": fitted_C(rows), "q_max": args.q_max}, table
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-intersective", "--poly", "x^2-1", "--bound", "30"],
+        ["aux", "--poly", "x^2-1", "--d", "6"],
+        ["nesting", "--poly", "x^2-1", "--d", "1", "--q", "6"],
+        ["sieve", "--poly", "x^3+x^2-2x", "--Y", "30", "--X", "100000"],
+        ["expsum-scan", "--poly", "x^3+x", "--q-max", "300", "--Y", "50"],
+        ["main-term", "--poly", "x^2", "--a", "1", "--q", "4", "--Y", "10", "--N", "10000"],
+        ["arcs", "--N", "1000", "--K", "2", "--Q", "4", "--gamma", "0.3333"],
+        ["maxset", "--poly", "x^2", "--N", "30"],
+        ["increment", "--poly", "x^2", "--N", "22695", "--kappa", "0.00171272"],
+        ["energy", "--elems", "1/50,1/49,1/48", "--m", "2", "--delta", "1/4000",
+         "--newbm-Q", "60", "--newbm-n", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_matches_the_indented_legacy_report(tmp_path, monkeypatch, argv):
+    # one line of JSON from the C encoder; it parses to the document that
+    # legacy_jsonable and the pure-Python json.dumps(indent=2) gave
+    captured = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *a: captured.append(a) or emit(*a))
+    out, csv_path = tmp_path / "r.json", tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out), "--csv", str(csv_path)]) == 0
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    ((args, subcommand, params, report, _),) = captured
+    result, rows = legacy_scan(args) if subcommand == "expsum-scan" else (report.result, report.csv_rows)
+    manifest = {
+        "subcommand": subcommand, "params": legacy_jsonable(params), "version": intersective_lab.__version__,
+        "wall_time_s": 0.0, "seed": None, "threads": args.threads,
+    }
+    legacy = json.dumps({"schema": cli.SCHEMA, "manifest": manifest, "result": legacy_jsonable(result)},
+                        sort_keys=True, indent=2)
+    doc, want = json.loads(text), json.loads(legacy)
+    doc["manifest"]["wall_time_s"] = 0.0
+    assert doc == want
+    if rows:
+        fh = io.StringIO(newline="")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({k: f"{v:.12g}" if isinstance(v, float) else v for k, v in r.items()} for r in rows)
+        assert csv_path.read_bytes().decode() == fh.getvalue()
+    else:
+        assert not csv_path.exists()
+
+
+@example([math.inf, -math.inf, math.nan])
+@example([-0.0, 0.0, 5e-324])
+@example([1.7976931348623157e308, 0.1 + 0.2, 123456789012.5])
+@given(st.lists(st.floats(), min_size=3, max_size=3))
+def test_scan_rows_round_to_12_digits_bit_for_bit(xs):
+    (row,) = cli._scan_table([ScanRow(6, 2, *xs, 4)])
+    assert list(row) == ["q", "omega", "max_abs", "ratio_sqrt", "ratio_weyl", "admissible"]
+    assert (row["q"], row["omega"], row["admissible"]) == (6, 2, 4)
+    for x, y in zip(xs, [row["max_abs"], row["ratio_sqrt"], row["ratio_weyl"]]):
+        assert struct.pack("<d", y) == struct.pack("<d", float(f"{x:.12g}"))
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # about 250 kB of report, more than a pipe holds, so the writer is still
+    # writing when its reader leaves after one byte
+    src = str(Path(intersective_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "intersective_lab.cli", "expsum-scan", "--poly", "x^3", "--q-max", "2000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""

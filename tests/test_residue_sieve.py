@@ -185,7 +185,7 @@ def test_sieve_count_matches_loop(coeffs, Y, X):
     sc = sieve_count(prof, X)
     assert sc.method == ("wheel" if prof.period() <= X else "mark")
     assert sc.count == loop_count(prof, X)
-    assert sc.density == expected_density(prof)
+    assert sc.density == expected_density(prof) == float(expected_density(prof, exact=True))
     assert sc.main_term == X * sc.density
 
 
